@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
 from . import __version__
@@ -38,7 +39,7 @@ from .ignorance import (
     score_ignorance,
 )
 from .previsions import e_admissible_set, maximality_relation
-from .problems import DecisionProblem, parse_mass, parse_problem_dict
+from .problems import DecisionProblem, parse_mass, parse_number, parse_problem_dict
 from .relations import (
     interval_bound_dominance,
     interval_dominance_choice,
@@ -102,11 +103,11 @@ def _load_problem(path: str) -> DecisionProblem:
 
 
 def _ranks(scores: Sequence[float], *, lower_better: bool = False) -> list[int]:
-    out = []
-    for s in scores:
-        better = sum(1 for t in scores if (t < s if lower_better else t > s))
-        out.append(1 + better)
-    return out
+    """1 + the number of strictly better scores, for every score."""
+    ordered = sorted(scores)
+    if lower_better:
+        return [1 + bisect_left(ordered, s) for s in scores]
+    return [1 + len(ordered) - bisect_right(ordered, s) for s in scores]
 
 
 def _rank_scores(problem: DecisionProblem, args) -> tuple[list[float], bool]:
@@ -162,13 +163,20 @@ def _jaffray_index(problem: DecisionProblem, args) -> LocalPessimismIndex:
             raise ValidationError(
                 "a pessimism-index table needs declared consequences in the problem file"
             )
+        row_acts = [n for n, act in zip(problem.act_names, problem.acts) if act is None]
+        if row_acts:
+            raise ValidationError(
+                f"a pessimism-index table needs consequence-mapped acts; {row_acts!r} "
+                "are given as utility rows"
+            )
         table = {}
         for pos, entry in enumerate(doc):
             if not isinstance(entry, dict) or not {"worst", "best", "alpha"} <= set(entry):
                 raise ValidationError(
                     f"index entry {pos} needs 'worst', 'best' and 'alpha' fields"
                 )
-            table[(entry["worst"], entry["best"])] = float(entry["alpha"])
+            alpha = parse_number(entry["alpha"], f"index entry {pos}: 'alpha'")
+            table[(entry["worst"], entry["best"])] = alpha
         try:
             return LocalPessimismIndex(table)
         except ValueError as exc:
@@ -290,18 +298,21 @@ def cmd_sweep(args) -> int:
         for k in range(args.steps)
     ]
 
+    if args.criterion in ("hurwicz", "owa"):
+        matrix = problem.payoff_matrix()
+    else:
+        lotteries = [problem.lottery(i) for i in range(problem.n_acts)]
+
     def scores_at(value: float) -> list[float]:
         if args.criterion == "hurwicz":
-            return list(score_ignorance(problem.payoff_matrix(), "hurwicz", value))
+            return list(score_ignorance(matrix, "hurwicz", value))
         if args.criterion == "owa":
-            matrix = problem.payoff_matrix()
             weights = (
                 max_entropy_owa_weights(matrix.n_states, value)
                 if matrix.n_states > 1
                 else OwaWeights((1.0,))
             )
             return [owa_aggregate(row, weights) for row in matrix.utilities]
-        lotteries = [problem.lottery(i) for i in range(problem.n_acts)]
         if args.criterion == "ghurwicz":
             return [generalized_hurwicz(mu, u, value) for mu, u in lotteries]
         return [generalized_owa_expected_utility(mu, u, value) for mu, u in lotteries]
@@ -330,7 +341,7 @@ def _parse_goal_file(doc: Any) -> tuple[GoalSystem, list[tuple[str, Any]]]:
             goals.append(frame.subset(entry["elements"]))
         except FrameMismatchError as exc:
             raise ValidationError(f"goals[{pos}]: {exc}") from None
-        weights.append(float(entry.get("weight", 1.0)))
+        weights.append(parse_number(entry.get("weight", 1.0), f"goals[{pos}].weight"))
     try:
         system = GoalSystem(frame, goals, weights)
     except ValueError as exc:
@@ -371,8 +382,9 @@ def cmd_goals(args) -> int:
         weights = doc["weights"]
         if not isinstance(weights, list) or len(weights) != frame.size:
             raise ValidationError(f"'weights' must list {frame.size} numbers")
+        weights = [parse_number(w, "every weight") for w in weights]
         try:
-            scores, _, _ = classification_scores(m, [float(w) for w in weights])
+            scores, _, _ = classification_scores(m, weights)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         masks = list(scores)

@@ -135,8 +135,10 @@ class MassFunction:
             mask = frame.subset(key)
             if mask == 0:
                 raise InvalidMassError("mass assigned to the empty set")
-            if value < 0:
-                raise InvalidMassError(f"negative mass {value} on {frame.members(mask)!r}")
+            if value < 0 or not math.isfinite(value):
+                raise InvalidMassError(
+                    f"mass {value} on {frame.members(mask)!r} must be finite and nonnegative"
+                )
             if value == 0:
                 continue
             focal[mask] = focal.get(mask, 0.0) + value

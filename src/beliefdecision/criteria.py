@@ -13,26 +13,18 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import Frame, MassFunction, UtilityTable, iter_elements, nonspecificity
-from .errors import FrameMismatchError
 from .ignorance import OwaWeights, PayoffMatrix, max_entropy_owa_weights, minimax_regret
-
-
-def _check_lottery(mu: MassFunction, u: UtilityTable) -> None:
-    if mu.frame != u.frame:
-        raise FrameMismatchError(
-            f"lottery frame {mu.frame.labels!r} differs from utility frame {u.frame.labels!r}"
-        )
 
 
 def lower_expectation(mu: MassFunction, u: UtilityTable) -> float:
     """Mass-weighted average of the worst utility in each focal set."""
-    _check_lottery(mu, u)
+    mu._check_frame(u.frame)
     return math.fsum(v * min(u.over(a)) for a, v in mu.items())
 
 
 def upper_expectation(mu: MassFunction, u: UtilityTable) -> float:
     """Mass-weighted average of the best utility in each focal set."""
-    _check_lottery(mu, u)
+    mu._check_frame(u.frame)
     return math.fsum(v * max(u.over(a)) for a, v in mu.items())
 
 
@@ -61,7 +53,7 @@ def pignistic_expected_utility(mu: MassFunction, u: UtilityTable) -> float:
 
     Equals expected utility under the pignistic probability.
     """
-    _check_lottery(mu, u)
+    mu._check_frame(u.frame)
     return math.fsum(v * math.fsum(u.over(a)) / a.bit_count() for a, v in mu.items())
 
 
@@ -80,7 +72,7 @@ def generalized_owa_expected_utility(mu: MassFunction, u: UtilityTable, beta: fl
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"degree of optimism must be in [0, 1], got {beta}")
-    _check_lottery(mu, u)
+    mu._check_frame(u.frame)
     terms = []
     for a, v in mu.items():
         values = u.over(a)
@@ -97,20 +89,14 @@ def generalized_minimax_regret(matrix: PayoffMatrix, m: MassFunction) -> tuple[f
     """Expected maximal regret of each act under a mass function on states.
 
     Per focal set the worst regret inside the set is taken, then the
-    worst cases are averaged by the masses. Lower is better. Reduces to
+    worst cases are averaged by the masses: the upper expectation of
+    the act's regret row. Lower is better. Reduces to
     the classical maximal regret for a logical mass on the whole frame,
     and ranks like expected utility for Bayesian masses.
     """
-    if m.frame.labels != matrix.state_names:
-        raise FrameMismatchError(
-            f"mass frame {m.frame.labels!r} differs from payoff states {matrix.state_names!r}"
-        )
+    m._check_frame(Frame(matrix.state_names))
     regret, _ = minimax_regret(matrix)
-    out = []
-    for i in range(matrix.n_acts):
-        row = regret[i]
-        out.append(math.fsum(v * max(row[j] for j in iter_elements(a)) for a, v in m.items()))
-    return tuple(out)
+    return tuple(upper_expectation(m, UtilityTable(m.frame, row)) for row in regret)
 
 
 class SetUtility:
@@ -148,11 +134,7 @@ def linear_set_utility(mu: MassFunction, set_utility: SetUtility) -> float:
     and OWA criteria; each is recovered by the corresponding choice of
     the set utility.
     """
-    if mu.frame != set_utility.frame:
-        raise FrameMismatchError(
-            f"lottery frame {mu.frame.labels!r} differs from set-utility frame "
-            f"{set_utility.frame.labels!r}"
-        )
+    mu._check_frame(set_utility.frame)
     return math.fsum(v * set_utility(a) for a, v in mu.items())
 
 
@@ -198,7 +180,7 @@ def jaffray_utility(mu: MassFunction, u: UtilityTable, index: LocalPessimismInde
     local pessimism index. A constant index reduces to the plain blended
     criterion.
     """
-    _check_lottery(mu, u)
+    mu._check_frame(u.frame)
     terms = []
     for a, v in mu.items():
         indices = list(iter_elements(a))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .core import Frame, MassFunction, SubsetLike, belief, plausibility
-from .errors import FrameMismatchError, FrameSizeError
+from .errors import FrameSizeError
 from .relations import Relation
 
 CLASSIFICATION_MAX_CLASSES = 16
@@ -105,11 +105,7 @@ def expected_score(system: GoalSystem, effect: MassFunction) -> ExpectedScore:
     plus plausibility; the constant is returned alongside so the two
     expectations can be reconstructed.
     """
-    if effect.frame != system.frame:
-        raise FrameMismatchError(
-            f"effect frame {effect.frame.labels!r} differs from goal frame "
-            f"{system.frame.labels!r}"
-        )
+    effect._check_frame(system.frame)
     score = math.fsum(
         w * (belief(effect, g) + plausibility(effect, g))
         for g, w in zip(system.goals, system.weights)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UndefinedMeasureError
+from .errors import SolverError, UndefinedMeasureError
 
 OPTIMISM_TOL = 1e-8
 
@@ -194,7 +194,12 @@ def max_entropy_owa_weights(s: int, beta: float) -> OwaWeights:
         w /= w.sum()
         return float(w @ q)
 
+    # the bracket doubles until it contains beta, which large arities need
     lo, hi = -200.0, 200.0
+    while optimism(lo) > beta:
+        lo *= 2.0
+    while optimism(hi) < beta:
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if optimism(mid) < beta:
@@ -208,4 +213,8 @@ def max_entropy_owa_weights(s: int, beta: float) -> OwaWeights:
     z -= z.max()
     w = np.exp(z)
     w /= w.sum()
-    return OwaWeights(tuple(float(v) for v in w))
+    weights = OwaWeights(tuple(float(v) for v in w))
+    missed = abs(degree_of_optimism(weights) - beta)
+    if missed > OPTIMISM_TOL:
+        raise SolverError(f"OWA weights miss the degree of optimism {beta} by {missed:g}")
+    return weights

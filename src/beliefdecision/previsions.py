@@ -11,32 +11,34 @@ the latter decided by a linear program in allocation variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Frame, MassFunction, iter_elements
+import numpy as np
+
+from .core import MassFunction, UtilityTable, iter_elements
+from .criteria import lower_expectation, upper_expectation
 from .errors import FrameMismatchError, SolverError
-from .relations import Relation, maximal_elements
+from .relations import Relation
 from .simplex import LinearProgram, SimplexResult, lp_text, simplex_solve
 
 E_ADMISSIBILITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Gamble:
-    """A real-valued payoff for every state of a frame."""
+class Gamble(UtilityTable):
+    """A real-valued payoff for every state of a frame.
 
-    frame: Frame
-    payoffs: tuple[float, ...]
+    The utility table of the states, so its lower and upper previsions
+    are the lower and upper expectations of the criteria.
+    """
 
-    def __init__(self, frame: Frame, payoffs: Iterable[float]):
-        values = tuple(float(v) for v in payoffs)
-        if len(values) != frame.size:
-            raise ValueError(f"{len(values)} payoffs for a frame of size {frame.size}")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("gamble payoffs must be finite")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "payoffs", values)
+    __slots__ = ()
+
+    @property
+    def payoffs(self) -> tuple[float, ...]:
+        return self.values
+
+    def __hash__(self) -> int:
+        return hash((self.frame, self.values))
 
     def __sub__(self, other: "Gamble") -> "Gamble":
         if other.frame != self.frame:
@@ -55,31 +57,18 @@ class Gamble:
         return math.fsum(p * v for p, v in zip(probabilities, self.payoffs))
 
 
-def _check_gamble(m: MassFunction, gamble: Gamble) -> None:
-    if gamble.frame != m.frame:
-        raise FrameMismatchError(
-            f"gamble frame {gamble.frame.labels!r} differs from mass frame {m.frame.labels!r}"
-        )
-
-
 def lower_prevision(m: MassFunction, gamble: Gamble) -> float:
     """Mass-weighted minimum payoff per focal set.
 
     Also the minimum expectation over all probabilities compatible
     with ``m``.
     """
-    _check_gamble(m, gamble)
-    return math.fsum(
-        v * min(gamble.payoffs[i] for i in iter_elements(a)) for a, v in m.items()
-    )
+    return lower_expectation(m, gamble)
 
 
 def upper_prevision(m: MassFunction, gamble: Gamble) -> float:
     """Mass-weighted maximum payoff per focal set; conjugate of the lower."""
-    _check_gamble(m, gamble)
-    return math.fsum(
-        v * max(gamble.payoffs[i] for i in iter_elements(a)) for a, v in m.items()
-    )
+    return upper_expectation(m, gamble)
 
 
 def maximality_relation(
@@ -97,12 +86,21 @@ def maximality_relation(
     """
     if not gambles:
         raise ValueError("need at least one gamble")
+    for g in gambles:
+        m._check_frame(g.frame)
     n = len(gambles)
-    delta = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                delta[i][j] = lower_prevision(m, gambles[i] - gambles[j])
+    payoffs = np.array([g.values for g in gambles])
+    # terms[k, i, j] is the mass of focal set k times the minimum of
+    # gamble i minus gamble j over it. argmin takes the first minimal
+    # entry, as Python's min does; numpy's min may return -0.0 for 0.0.
+    terms = np.empty((len(m), n, n))
+    for k, (a, v) in enumerate(m.items()):
+        cols = payoffs[:, list(iter_elements(a))]
+        diff = cols[:, None, :] - cols[None, :, :]
+        terms[k] = v * np.take_along_axis(diff, diff.argmin(axis=2)[..., None], axis=2)[..., 0]
+    # exact sums, one row at a time to keep few Python floats alive;
+    # the diagonal sums x - x = +0.0 terms, so it is exactly 0.0
+    delta = [[math.fsum(cell) for cell in terms[:, i, :].T.tolist()] for i in range(n)]
     table = [[i == j or delta[i][j] >= 0.0 for j in range(n)] for i in range(n)]
     relation = Relation(table)
     chosen = [
@@ -194,7 +192,7 @@ def e_admissible(
     if not 0 <= i < len(gambles):
         raise IndexError(f"gamble index {i} out of range")
     for g in gambles:
-        _check_gamble(m, g)
+        m._check_frame(g.frame)
     if len(gambles) == 1:
         return True, _any_compatible_probability(m)
 

@@ -73,35 +73,23 @@ class DecisionProblem:
         return PayoffMatrix(self.act_names, self.states.labels, self.rows)
 
     def gambles(self) -> list[Gamble]:
-        if not self.is_point_valued():
-            raise ValidationError("gambles require point-valued acts")
-        return [Gamble(self.states, row) for row in self.rows]
+        return [Gamble(self.states, row) for row in self.payoff_matrix().utilities]
 
     def lottery(self, i: int) -> tuple[MassFunction, UtilityTable]:
         """The evidential lottery of act ``i`` and its utility table.
 
         Acts given as consequence maps push the state mass through the
-        act onto the declared consequence frame. Acts given as utility
-        rows treat each cell as its own consequence.
+        act onto the declared consequence frame. An act given as a
+        utility row is its own lottery: the state mass with the row as
+        utilities over the states.
         """
         m = self.require_mass()
         act = self.acts[i]
-        if act is not None:
-            if self.utilities is None:
-                raise ValidationError("consequence-mapped acts need a utility table")
-            return pushforward(m, act), self.utilities
-        row = self.rows[i]
-        assert row is not None  # acts[i] is None only for row-form acts
-        cells = Frame(
-            tuple(f"{self.act_names[i]}:{s}" for s in self.states.labels)
-        )
-        identity = Act(
-            self.act_names[i],
-            self.states,
-            cells,
-            tuple(1 << j for j in range(self.states.size)),
-        )
-        return pushforward(m, identity), UtilityTable(cells, row)
+        if act is None:
+            return m, UtilityTable(self.states, self.rows[i])
+        if self.utilities is None:
+            raise ValidationError("consequence-mapped acts need a utility table")
+        return pushforward(m, act), self.utilities
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-ready form; re-parses to an equivalent problem."""
@@ -140,6 +128,17 @@ def _expect(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def parse_number(value: Any, what: str) -> float:
+    """A parsed JSON number as a float.
+
+    JSON booleans are not numbers, and the NaN and Infinity literals
+    that Python's JSON reader accepts are not finite numbers.
+    """
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value), f"{what} must be a finite number")
+    return float(value)
+
+
 def _parse_labels(doc: dict, key: str, required: bool) -> tuple[str, ...] | None:
     if key not in doc:
         _expect(not required, f"missing required field {key!r}")
@@ -164,13 +163,12 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
         focal = entry["focal"]
         _expect(isinstance(focal, list) and focal,
                 f"{where}[{pos}].focal must be a non-empty list of labels")
-        value = entry["mass"]
-        _expect(isinstance(value, (int, float)), f"{where}[{pos}].mass must be a number")
+        value = parse_number(entry["mass"], f"{where}[{pos}].mass")
         try:
             mask = frame.subset(focal)
         except FrameMismatchError as exc:
             raise ValidationError(f"{where}[{pos}].focal: {exc}") from None
-        masses[mask] = masses.get(mask, 0.0) + float(value)
+        masses[mask] = masses.get(mask, 0.0) + value
     total = math.fsum(masses.values())
     _expect(abs(total - 1.0) <= 1e-9,
             f"{where} entries sum to {total!r}; masses must sum to 1")
@@ -195,11 +193,9 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
         _expect(not missing, f"'utilities' is missing consequences {missing!r}")
         unknown = [c for c in table if c not in consequences.labels]
         _expect(not unknown, f"'utilities' names unknown consequences {unknown!r}")
-        _expect(
-            all(isinstance(v, (int, float)) for v in table.values()),
-            "every utility must be a number",
+        utilities = UtilityTable(
+            consequences, {c: parse_number(v, "every utility") for c, v in table.items()}
         )
-        utilities = UtilityTable(consequences, {c: float(v) for c, v in table.items()})
 
     acts_doc = doc.get("acts")
     _expect(isinstance(acts_doc, list) and acts_doc, "'acts' must be a non-empty list")
@@ -225,11 +221,7 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
                 len(row) == states.size,
                 f"act {name!r} has {len(row)} utilities for {states.size} states",
             )
-            _expect(
-                all(isinstance(v, (int, float)) for v in row),
-                f"act {name!r}: every utility must be a number",
-            )
-            rows.append(tuple(float(v) for v in row))
+            rows.append(tuple(parse_number(v, f"act {name!r}: every utility") for v in row))
             acts.append(None)
         else:
             _expect(

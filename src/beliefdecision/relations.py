@@ -198,8 +198,8 @@ class RealMass:
             key = tuple(sorted(set(float(v) for v in values)))
             if not key:
                 raise InvalidMassError("mass assigned to an empty set of reals")
-            if mass < 0:
-                raise InvalidMassError(f"negative mass {mass} on {key}")
+            if mass < 0 or not math.isfinite(mass):
+                raise InvalidMassError(f"mass {mass} on {key} must be finite and nonnegative")
             if mass == 0:
                 continue
             focal[key] = focal.get(key, 0.0) + mass

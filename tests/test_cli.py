@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beliefdecision import ValidationError, parse_problem
-from beliefdecision.cli import main
+from beliefdecision.cli import _ranks, main
 from beliefdecision.problems import parse_problem_dict
 from conftest import MASS_ASSIGNMENT, UTILITY_ROWS
 
@@ -302,6 +304,21 @@ class TestChoiceCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("criterion", ["ghurwicz", "gowa"])
+    def test_lotteries_are_built_once_per_command(self, problem_file, monkeypatch, criterion):
+        from beliefdecision.problems import DecisionProblem
+
+        calls = []
+        original = DecisionProblem.lottery
+
+        def counting(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(DecisionProblem, "lottery", counting)
+        assert main(["sweep", problem_file, "--criterion", criterion, "--steps", "11"]) == 0
+        assert calls == [0, 1, 2, 3, 4]
+
     def test_two_step_grid_is_endpoints(self, problem_file, capsys):
         main(["sweep", problem_file, "--criterion", "ghurwicz", "--steps", "2"])
         lines = capsys.readouterr().out.splitlines()
@@ -466,6 +483,104 @@ class TestTransformCommand:
         path = write_json(tmp_path, "dup.json", doc)
         assert main(["transform", path, "--kind", "pignistic"]) == 0
         assert capsys.readouterr().out.splitlines() == ["a  0.6", "b  0.4"]
+
+
+def quadratic_ranks(scores, *, lower_better=False):
+    """Reference: 1 + the number of strictly better scores, by direct comparison."""
+    return [
+        1 + sum(1 for t in scores if (t < s if lower_better else t > s)) for s in scores
+    ]
+
+
+class TestRanks:
+    @given(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                           st.floats(allow_nan=False)), max_size=40),
+        st.booleans(),
+    )
+    def test_matches_pairwise_counting(self, scores, lower_better):
+        assert _ranks(scores, lower_better=lower_better) == quadratic_ranks(
+            scores, lower_better=lower_better
+        )
+
+    def test_ties_share_the_best_rank(self):
+        assert _ranks([3.0, 1.0, 3.0, 2.0]) == [1, 4, 1, 3]
+        assert _ranks([3.0, 1.0, 3.0, 2.0], lower_better=True) == [3, 1, 3, 2]
+
+
+class TestRowActsAndIndexTables:
+    # consequence labels equal to the state labels must not let a row act
+    # borrow a consequence-pair index: a row act has no consequences
+    DOC = {
+        "states": ["w1", "w2"],
+        "consequences": ["w1", "w2"],
+        "utilities": {"w1": 0.0, "w2": 1.0},
+        "acts": [{"name": "f", "utilities": [3, 7]}],
+        "mass": [{"focal": ["w1", "w2"], "mass": 1.0}],
+    }
+
+    def test_index_table_on_a_row_act_is_rejected(self, tmp_path, capsys):
+        path = write_json(tmp_path, "rows.json", self.DOC)
+        index = write_json(tmp_path, "index.json", [{"worst": "w1", "best": "w2", "alpha": 0.9}])
+        assert main(["rank", path, "--criterion", "jaffray", "--index-file", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "utility rows" in captured.err
+
+    def test_constant_index_on_a_row_act_still_runs(self, tmp_path, capsys):
+        path = write_json(tmp_path, "rows.json", self.DOC)
+        assert main(["rank", path, "--criterion", "jaffray", "--alpha", "0.9"]) == 0
+        assert capsys.readouterr().out == "f  3.4  1\n"
+
+
+class TestJsonNumbers:
+    def test_problem_file_fields(self):
+        mass = [dict(e) for e in PROBLEM_DOC["mass"]]
+        mass[0]["mass"] = True
+        with pytest.raises(ValidationError, match="mass must be a finite number"):
+            parse_problem_dict(dict(PROBLEM_DOC, mass=mass))
+        acts = [{"name": "f1", "utilities": [True, 2, 3]}]
+        with pytest.raises(ValidationError, match="every utility must be a finite number"):
+            parse_problem_dict(dict(PROBLEM_DOC, acts=acts))
+        utilities = dict(MAPPED_DOC["utilities"], c2=False)
+        with pytest.raises(ValidationError, match="every utility must be a finite number"):
+            parse_problem_dict(dict(MAPPED_DOC, utilities=utilities))
+
+    def test_mass_file(self, tmp_path):
+        doc = {"frame": ["a", "b"], "mass": [{"focal": ["a"], "mass": True}]}
+        path = write_json(tmp_path, "mass.json", doc)
+        assert main(["transform", path, "--kind", "pignistic"]) == 2
+
+    def test_index_alpha(self, mapped_file, tmp_path, capsys):
+        index = write_json(
+            tmp_path, "index.json",
+            [{"worst": lo, "best": hi, "alpha": True} for lo in ("c1", "c2", "c3")
+             for hi in ("c1", "c2", "c3")],
+        )
+        assert main(["rank", mapped_file, "--criterion", "jaffray", "--index-file", index]) == 2
+        assert "'alpha' must be a finite number" in capsys.readouterr().err
+
+    def test_goal_weight(self, tmp_path, capsys):
+        goals = [dict(g) for g in GOAL_DOC["goals"]]
+        goals[0]["weight"] = True
+        path = write_json(tmp_path, "goals.json", dict(GOAL_DOC, goals=goals))
+        assert main(["goals", path, "--mode", "score"]) == 2
+        assert "goals[0].weight must be a finite number" in capsys.readouterr().err
+
+    def test_non_finite_literals(self, tmp_path, capsys):
+        path = tmp_path / "goals.json"
+        path.write_text(json.dumps(GOAL_DOC).replace('"weight": 2.0', '"weight": NaN'))
+        assert main(["goals", str(path), "--mode", "score"]) == 2
+        assert "goals[2].weight must be a finite number" in capsys.readouterr().err
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(PROBLEM_DOC).replace("[37, 25, 23]", "[37, Infinity, 23]"))
+        with pytest.raises(ValidationError, match="every utility must be a finite number"):
+            parse_problem(str(path))
+
+    def test_classification_weights(self, tmp_path, capsys):
+        path = write_json(tmp_path, "classify.json", dict(CLASSIFY_DOC, weights=[1, True, 2]))
+        assert main(["goals", path, "--mode", "classify"]) == 2
+        assert "every weight must be a finite number" in capsys.readouterr().err
 
 
 class TestStdin:

@@ -90,6 +90,13 @@ class TestMassFunction:
         with pytest.raises(InvalidMassError):
             MassFunction(states, {("w1",): 1.2, ("w2",): -0.2})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, states, value):
+        with pytest.raises(InvalidMassError):
+            MassFunction(states, {("w1",): value})
+        with pytest.raises(InvalidMassError):
+            MassFunction(states, {("w1",): 1.0, ("w2",): value})
+
     def test_zero_masses_dropped(self, states):
         m = MassFunction(states, {("w1",): 1.0, ("w2",): 0.0})
         assert len(m) == 1

@@ -286,6 +286,44 @@ class TestJaffray:
         assert jaffray_utility(mu, u, idx) == pytest.approx(4.0)
 
 
+class TestRowActLotteries:
+    """A row act's lottery is the state mass with the row as utilities; every
+    criterion gives exactly what the one-consequence-per-cell lottery gives."""
+
+    def test_every_criterion_matches_the_cell_frame_lottery(self):
+        from beliefdecision.problems import parse_problem_dict
+
+        rng = random.Random(97)
+        for _ in range(60):
+            states = random_frame(rng, max_size=6)
+            mass = random_mass(rng, states, max_focal=6)
+            rows = [[rng.choice((rng.randint(-3, 3), rng.uniform(-50, 100)))
+                     for _ in range(states.size)] for _ in range(rng.randint(1, 4))]
+            doc = {
+                "states": list(states.labels),
+                "acts": [{"name": f"f{i}", "utilities": row} for i, row in enumerate(rows)],
+                "mass": [{"focal": list(states.members(a)), "mass": v}
+                         for a, v in mass.items()],
+            }
+            problem = parse_problem_dict(doc)
+            for i, row in enumerate(rows):
+                mu, u = problem.lottery(i)
+                ref_mu, ref_u = cell_lottery(states, problem.mass, row, f"f{i}")
+                assert mu.frame == states and u.values == ref_u.values
+                assert lower_expectation(mu, u) == lower_expectation(ref_mu, ref_u)
+                assert upper_expectation(mu, u) == upper_expectation(ref_mu, ref_u)
+                assert pignistic_expected_utility(mu, u) == pignistic_expected_utility(
+                    ref_mu, ref_u
+                )
+                for p in (0.0, 0.2, 0.35, 0.5, 0.8, 1.0):
+                    assert generalized_hurwicz(mu, u, p) == generalized_hurwicz(ref_mu, ref_u, p)
+                    assert generalized_owa_expected_utility(
+                        mu, u, p
+                    ) == generalized_owa_expected_utility(ref_mu, ref_u, p)
+                    index = LocalPessimismIndex.constant(p)
+                    assert jaffray_utility(mu, u, index) == jaffray_utility(ref_mu, ref_u, index)
+
+
 class TestAffineUtilityInvariance:
     CRITERIA = [
         lambda mu, u: lower_expectation(mu, u),

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from beliefdecision import (
@@ -16,6 +17,7 @@ from beliefdecision import (
     prune_dominated,
     score_ignorance,
 )
+from beliefdecision.ignorance import OPTIMISM_TOL
 from conftest import ACT_NAMES, STATES, UTILITY_ROWS
 
 TABLE_TOL = 0.05  # reference tables carry one decimal
@@ -177,6 +179,34 @@ class TestDegreeOfOptimism:
             degree_of_optimism(OwaWeights((1.0,)))
 
 
+def _fixed_bracket_optimism(s, lam):
+    q = np.array([(s - i) / (s - 1) for i in range(1, s + 1)])
+    z = lam * q
+    z -= z.max()
+    w = np.exp(z)
+    w /= w.sum()
+    return float(w @ q)
+
+
+def _fixed_bracket_weights(s, beta):
+    """Reference: bisection on the fixed multiplier bracket [-200, 200]."""
+    q = np.array([(s - i) / (s - 1) for i in range(1, s + 1)])
+    lo, hi = -200.0, 200.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _fixed_bracket_optimism(s, mid) < beta:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
+    z = 0.5 * (lo + hi) * q
+    z -= z.max()
+    w = np.exp(z)
+    w /= w.sum()
+    return tuple(float(v) for v in w)
+
+
 class TestMaxEntropyOwaWeights:
     def test_reference_vectors(self):
         assert max_entropy_owa_weights(3, 0.2).w == pytest.approx(
@@ -205,6 +235,18 @@ class TestMaxEntropyOwaWeights:
                 ratios = [w[i + 1] / w[i] for i in range(s - 1)]
                 for r in ratios[1:]:
                     assert r == pytest.approx(ratios[0], abs=1e-8)
+
+    @pytest.mark.parametrize("beta", [1e-7, 1 - 1e-7])
+    def test_large_arity_reaches_extreme_optimism(self, beta):
+        # the multiplier lies beyond the initial bracket of +-200 here
+        w = max_entropy_owa_weights(24, beta)
+        assert abs(degree_of_optimism(w) - beta) <= OPTIMISM_TOL
+
+    def test_bracketed_inputs_keep_their_weights(self):
+        for s in (2, 3, 5, 8, 13, 24):
+            for beta in (1e-3, 0.01, 0.2, 0.35, 0.49, 0.51, 0.8, 0.99, 0.999):
+                if _fixed_bracket_optimism(s, -200.0) <= beta <= _fixed_bracket_optimism(s, 200.0):
+                    assert max_entropy_owa_weights(s, beta).w == _fixed_bracket_weights(s, beta)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

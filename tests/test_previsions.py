@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefdecision import (
     Frame,
@@ -22,6 +24,7 @@ from beliefdecision import (
     simplex_solve,
     upper_prevision,
 )
+from beliefdecision.core import iter_elements
 from beliefdecision.previsions import build_e_admissibility_lp, e_admissibility_lp_text
 from beliefdecision.simplex import lp_text
 from conftest import UTILITY_ROWS, random_bayesian, random_frame, random_mass
@@ -139,6 +142,110 @@ class TestMaximality:
     def test_needs_at_least_one_gamble(self, scenario_mass):
         with pytest.raises(ValueError):
             maximality_relation([], scenario_mass)
+
+
+def loop_delta(gambles, m):
+    """Reference matrix: the lower prevision of every pairwise difference, pair by pair."""
+    n = len(gambles)
+    delta = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                diff = gambles[i] - gambles[j]
+                delta[i][j] = math.fsum(
+                    v * min(diff.payoffs[k] for k in iter_elements(a)) for a, v in m.items()
+                )
+    return delta
+
+
+# payoffs with many exact ties and zeros of both signs, plus arbitrary floats
+PAYOFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def gamble_problems(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    frame = Frame([f"s{i}" for i in range(size)])
+    subsets = draw(
+        st.lists(st.integers(min_value=1, max_value=frame.full_set),
+                 min_size=1, max_size=min(6, frame.full_set), unique=True)
+    )
+    weights = draw(
+        st.lists(st.integers(min_value=1, max_value=9),
+                 min_size=len(subsets), max_size=len(subsets))
+    )
+    m = MassFunction(frame, {a: w / sum(weights) for a, w in zip(subsets, weights)})
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.lists(st.lists(PAYOFFS, min_size=size, max_size=size),
+                         min_size=n, max_size=n))
+    return [Gamble(frame, row) for row in rows], m
+
+
+class TestMaximalityMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(gamble_problems())
+    def test_delta_is_bit_identical_to_the_pairwise_loop(self, problem):
+        gambles, m = problem
+        delta, relation, chosen = maximality_relation(gambles, m)
+        reference = loop_delta(gambles, m)
+        assert delta == reference
+        # == treats 0.0 and -0.0 alike; the hex forms do not
+        assert [[v.hex() for v in row] for row in delta] == [
+            [v.hex() for v in row] for row in reference
+        ]
+        n = len(gambles)
+        assert chosen == [
+            i for i in range(n) if not any(reference[j][i] > 0.0 for j in range(n) if j != i)
+        ]
+        assert all(relation.holds(i, j) == (i == j or reference[i][j] >= 0.0)
+                   for i in range(n) for j in range(n))
+
+    def test_signed_zero_ties_keep_the_first_minimum(self):
+        # x - y is (0.0, -0.0): Python's min keeps the first zero, a plain
+        # numpy min may keep the second; the delta must be +0.0 either way
+        frame = Frame(["a", "b"])
+        m = MassFunction.vacuous(frame)
+        gambles = [Gamble(frame, (0.0, -0.0)), Gamble(frame, (0.0, 0.0))]
+        delta, _, _ = maximality_relation(gambles, m)
+        assert [[v.hex() for v in row] for row in delta] == [
+            [v.hex() for v in row] for row in loop_delta(gambles, m)
+        ]
+        assert delta[0][1].hex() == "0x0.0p+0"
+
+    def test_tied_gambles_give_exact_zeros(self, scenario_mass, gambles):
+        twins = gambles + [Gamble(gambles[0].frame, gambles[0].payoffs)]
+        delta, _, chosen = maximality_relation(twins, scenario_mass)
+        assert delta[0][4] == 0.0 and delta[4][0] == 0.0
+        assert delta == loop_delta(twins, scenario_mass)
+        assert chosen == [0, 1, 4]
+
+    def test_gamble_on_another_frame_is_rejected(self, scenario_mass, gambles):
+        stray = Gamble(Frame(["x", "y", "z"]), (1.0, 2.0, 3.0))
+        with pytest.raises(FrameMismatchError):
+            maximality_relation(gambles + [stray], scenario_mass)
+
+
+class TestGambleAsUtilityTable:
+    def test_validation_is_the_utility_tables(self, states):
+        with pytest.raises(ValueError):
+            Gamble(states, (1.0, 2.0))
+        with pytest.raises(ValueError):
+            Gamble(states, (1.0, 2.0, float("nan")))
+
+    def test_previsions_are_the_expectation_bounds(self, scenario_mass, gambles):
+        from beliefdecision import UtilityTable, lower_expectation, upper_expectation
+
+        for g in gambles:
+            u = UtilityTable(g.frame, g.payoffs)
+            assert lower_prevision(scenario_mass, g) == lower_expectation(scenario_mass, u)
+            assert upper_prevision(scenario_mass, g) == upper_expectation(scenario_mass, u)
+
+    def test_equal_gambles_hash_alike(self, states):
+        assert Gamble(states, (1, 2, 3)) == Gamble(states, (1.0, 2.0, 3.0))
+        assert len({Gamble(states, (1, 2, 3)), Gamble(states, (1.0, 2.0, 3.0))}) == 1
 
 
 class TestSimplex:

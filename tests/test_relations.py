@@ -5,6 +5,7 @@ import random
 import pytest
 
 from beliefdecision import (
+    InvalidMassError,
     RealMass,
     Relation,
     credal_order,
@@ -189,6 +190,15 @@ class TestIntervalBoundDominance:
             weak_set = set(maximal_elements(interval_bound_dominance(lowers, uppers)))
             assert weak_set <= strong_set
             assert weak_set
+
+
+class TestRealMass:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_mass(self, value):
+        with pytest.raises(InvalidMassError):
+            RealMass([((1.0, 2.0), value)])
+        with pytest.raises(InvalidMassError):
+            RealMass([((1.0,), 1.0), ((2.0,), value)])
 
 
 class TestCredalOrders:
