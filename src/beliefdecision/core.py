@@ -9,6 +9,12 @@ the extreme points of the credal set.
 Subsets of a frame are encoded as integer bitmasks over the frame's
 declared element order, which makes subset algebra and equality exact.
 Frames are capped at 24 elements.
+
+Whole belief tables and their inversion use the fast zeta and Möbius
+transforms over all 2^n subsets, O(n·2^n) (Kennes & Smets 1990). They
+run on exact integers (every float times one shared power of two) and
+round once at the end, so each value equals the correctly rounded
+``math.fsum`` of its terms, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 from .errors import (
     FrameMismatchError,
@@ -109,14 +117,6 @@ def iter_elements(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All non-empty submasks of ``mask``."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
 
 
 class MassFunction:
@@ -238,21 +238,78 @@ def plausibility(m: MassFunction, subset: SubsetLike) -> float:
     return math.fsum(v for b, v in m.items() if b & a)
 
 
+def _to_fixed(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact integers ``ints`` and one ``shift`` with ``values == ints / 2**shift``.
+
+    ``ints`` is an object array of Python integers, so sums of them stay exact.
+    """
+    mant, exp = np.frexp(values)
+    digits = (mant * 2.0**53).astype(np.int64).astype(object)
+    low = int(exp[mant != 0].min(initial=0))
+    return digits << (exp - low).astype(object), 53 - low
+
+
+def _to_float(ints: np.ndarray, shift: int) -> np.ndarray:
+    """``ints / 2**shift``, each correctly rounded (int / int division is)."""
+    return (ints / (1 << shift)).astype(float)
+
+
+def _butterfly(vec: np.ndarray, op) -> np.ndarray:
+    """In place on a length-2^n vector: for each bit i, every entry with bit i
+    set becomes ``op(entry, entry without bit i)``."""
+    for i in range(len(vec).bit_length() - 1):
+        pairs = vec.reshape(-1, 2, 1 << i)
+        op(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return vec
+
+
+def _zeta(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact subset sums: entry ``a`` becomes the sum over all ``b`` ⊆ ``a``, as (ints, shift)."""
+    ints, shift = _to_fixed(values)
+    return _butterfly(ints, np.add), shift
+
+
+def _moebius(values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_zeta`: alternating-sign sums over submasks, correctly rounded."""
+    ints, shift = _to_fixed(values)
+    return _to_float(_butterfly(ints, np.subtract), shift)
+
+
+def _mass_vector(m: MassFunction) -> np.ndarray:
+    """Masses indexed by subset bitmask, zero off the focal sets."""
+    vec = np.zeros(m.frame.full_set + 1)
+    for a, v in m.items():
+        vec[a] = v
+    return vec
+
+
 def belief_table(m: MassFunction) -> dict[int, float]:
-    """Belief values for every subset of the frame (empty set included)."""
-    return {a: belief(m, a) for a in range(m.frame.full_set + 1)}
+    """Belief values for every subset of the frame (empty set included).
+
+    Each value equals :func:`belief` of that subset exactly.
+    """
+    return dict(enumerate(_to_float(*_zeta(_mass_vector(m))).tolist()))
 
 
 def mass_from_belief(frame: Frame, bel: Mapping[SubsetLike, float]) -> MassFunction:
     """Recover the unique mass function whose belief function is ``bel``.
 
-    ``bel`` must cover every subset of ``frame``. Inversion computes
-    alternating-sign sums over non-empty subsets; values in
-    [-1e-9, 0) are treated as round-off and clamped to zero, anything
-    more negative fails with :class:`NotABeliefFunctionError`.
+    ``bel`` must cover every subset of ``frame`` with a finite number
+    (booleans are rejected). Inversion is the Möbius transform over the
+    non-empty subsets, exact up to one final rounding per subset;
+    values in [-1e-9, 0) are treated as round-off and clamped to zero,
+    anything more negative fails with :class:`NotABeliefFunctionError`.
     """
-    table = {frame.subset(k): float(v) for k, v in bel.items()}
     full = frame.full_set
+    table: dict[int, float] = {}
+    for key, value in bel.items():
+        mask = key if type(key) is int and 0 <= key <= full else frame.subset(key)
+        number = float(value)
+        if not math.isfinite(number) or isinstance(value, (bool, np.bool_)):
+            raise NotABeliefFunctionError(
+                f"belief {value!r} on {frame.members(mask)!r} is not a finite number"
+            )
+        table[mask] = number
     missing = [a for a in range(full + 1) if a not in table]
     if missing:
         raise ValueError(f"belief table is missing {len(missing)} subsets (first: {missing[0]})")
@@ -261,21 +318,19 @@ def mass_from_belief(frame: Frame, bel: Mapping[SubsetLike, float]) -> MassFunct
     if abs(table[full] - 1.0) > MASS_SUM_TOL:
         raise NotABeliefFunctionError(f"belief of the full frame is {table[full]!r}, expected 1")
 
-    masses: dict[int, float] = {}
-    for a in range(1, full + 1):
-        size_a = a.bit_count()
-        value = math.fsum(
-            (-1.0 if (size_a - b.bit_count()) % 2 else 1.0) * table[b] for b in iter_submasks(a)
+    values = np.array([table[a] for a in range(full + 1)])
+    values[0] = 0.0  # the sums run over non-empty subsets only
+    masses = _moebius(values)
+    negative = np.flatnonzero(masses < -MOBIUS_NEG_TOL)
+    if negative.size:
+        a = int(negative[0])
+        raise NotABeliefFunctionError(
+            f"inversion yields mass {float(masses[a])!r} on {frame.members(a)!r}; "
+            "input is not a belief function"
         )
-        if value < -MOBIUS_NEG_TOL:
-            raise NotABeliefFunctionError(
-                f"inversion yields mass {value!r} on {frame.members(a)!r}; "
-                "input is not a belief function"
-            )
-        # |value| <= 1e-9 is round-off either way; keep only genuine mass
-        if value > MOBIUS_NEG_TOL:
-            masses[a] = value
-    return MassFunction(frame, masses)
+    # |value| <= 1e-9 is round-off either way; keep only genuine mass
+    kept = np.flatnonzero(masses > MOBIUS_NEG_TOL)
+    return MassFunction(frame, dict(zip(kept.tolist(), masses[kept].tolist())))
 
 
 def pushforward(m: MassFunction, act: "Act") -> MassFunction:

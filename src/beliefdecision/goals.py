@@ -15,7 +15,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import Frame, MassFunction, SubsetLike, belief, plausibility
+import numpy as np
+
+from .core import (
+    Frame,
+    MassFunction,
+    SubsetLike,
+    _mass_vector,
+    _to_float,
+    _zeta,
+    belief,
+    plausibility,
+)
 from .errors import FrameSizeError
 from .relations import Relation
 
@@ -121,9 +132,13 @@ def classification_scores(
     Goal k is "pick a correct set of at most k classes"; the goals are
     nested, so the score of choosing subset C factors into
     (belief + plausibility of C) times the weight of goals still
-    achievable at C's size. Returns the score per subset mask, the
-    induced complete preorder over subsets (ascending mask order), and
-    that preorder's greatest elements.
+    achievable at C's size. Belief of every subset comes from one exact
+    zeta transform, and Pl(C) = total - Bel(complement of C) in exact
+    integers, so both equal :func:`belief` and :func:`plausibility`.
+    Returns the score per subset mask, the induced complete preorder
+    over subsets (ascending mask order) as a score-backed
+    :meth:`Relation.from_scores`, and its greatest elements, the
+    subsets of highest score.
     """
     k_classes = m.frame.size
     if k_classes < 2:
@@ -136,17 +151,16 @@ def classification_scores(
     w = tuple(float(v) for v in weights)
     if len(w) != k_classes:
         raise ValueError(f"{len(w)} weights for {k_classes} classes")
-    if any(v <= 0 for v in w):
-        raise ValueError("classification weights must be strictly positive")
+    if not all(0 < v < math.inf for v in w):
+        raise ValueError("classification weights must be finite and strictly positive")
 
-    tail = [math.fsum(w[k:]) for k in range(k_classes)]
-    scores: dict[int, float] = {}
-    for c in m.frame.subsets():
-        scores[c] = (belief(m, c) + plausibility(m, c)) * tail[c.bit_count() - 1]
-
-    masks = list(scores)
-    values = [scores[c] for c in masks]
-    table = [[values[i] >= values[j] for j in range(len(masks))] for i in range(len(masks))]
-    relation = Relation(table, complete=True)
-    best = [masks[i] for i in range(len(masks)) if all(table[i])]
-    return scores, relation, best
+    tail = np.array([math.fsum(w[k:]) for k in range(k_classes)])
+    bel, shift = _zeta(_mass_vector(m))
+    pl = _to_float(bel[-1] - bel[::-1], shift)
+    masks = range(1, len(bel))
+    sizes = np.array([c.bit_count() for c in masks])
+    values = ((_to_float(bel, shift) + pl)[1:] * tail[sizes - 1]).tolist()
+    scores = dict(zip(masks, values))
+    top = max(values)
+    best = [c for c, v in scores.items() if v == top]
+    return scores, Relation.from_scores(values), best

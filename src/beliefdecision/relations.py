@@ -20,10 +20,11 @@ class Relation:
 
     Reflexivity is enforced at construction. Transitivity is not
     assumed; :func:`transitive_closure` repairs it explicitly when
-    wanted.
+    wanted. A relation made by :meth:`from_scores` stores only its
+    scores and compares two of them per query.
     """
 
-    __slots__ = ("n", "table", "complete")
+    __slots__ = ("n", "_table", "_scores", "complete")
 
     def __init__(self, table: Sequence[Sequence[bool]], *, complete: bool = False):
         n = len(table)
@@ -41,35 +42,55 @@ class Relation:
                             f"relation flagged complete but items {i} and {j} are incomparable"
                         )
         self.n = n
-        self.table = rows
+        self._table = rows
+        self._scores = None
         self.complete = complete
 
     @classmethod
     def from_scores(cls, scores: Sequence[float], *, higher_better: bool = True) -> "Relation":
-        """Complete preorder induced by score comparison; ties are indifference."""
-        n = len(scores)
-        sign = 1.0 if higher_better else -1.0
-        table = [[sign * scores[i] >= sign * scores[j] for j in range(n)] for i in range(n)]
-        return cls(table, complete=True)
+        """Complete preorder induced by score comparison; ties are indifference.
+
+        No n × n table is built: ``holds(i, j)`` compares two scores.
+        """
+        keys = tuple(scores) if higher_better else tuple(-s for s in scores)
+        for i, s in enumerate(keys):
+            if s != s:
+                raise ValueError(f"relation must be reflexive; item {i} is not related to itself")
+        rel = object.__new__(cls)
+        rel.n = len(keys)
+        rel._table = None
+        rel._scores = keys
+        rel.complete = True
+        return rel
+
+    @property
+    def table(self) -> tuple[tuple[bool, ...], ...]:
+        """The n × n table; built on each access for a score-backed relation."""
+        if self._scores is None:
+            return self._table
+        return tuple(tuple(a >= b for b in self._scores) for a in self._scores)
 
     def holds(self, i: int, j: int) -> bool:
-        return self.table[i][j]
+        if self._scores is None:
+            return self._table[i][j]
+        return self._scores[i] >= self._scores[j]
 
     def strictly(self, i: int, j: int) -> bool:
-        return self.table[i][j] and not self.table[j][i]
+        return self.holds(i, j) and not self.holds(j, i)
 
     def indifferent(self, i: int, j: int) -> bool:
-        return self.table[i][j] and self.table[j][i]
+        return self.holds(i, j) and self.holds(j, i)
 
     def incomparable(self, i: int, j: int) -> bool:
-        return not self.table[i][j] and not self.table[j][i]
+        return not self.holds(i, j) and not self.holds(j, i)
 
     def is_transitive(self) -> bool:
+        table = self.table
         for i in range(self.n):
             for j in range(self.n):
-                if self.table[i][j]:
+                if table[i][j]:
                     for k in range(self.n):
-                        if self.table[j][k] and not self.table[i][k]:
+                        if table[j][k] and not table[i][k]:
                             return False
         return True
 
