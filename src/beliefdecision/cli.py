@@ -481,7 +481,7 @@ def build_parser() -> _Parser:
         "--tolerance",
         type=float,
         default=1e-8,
-        help="feasibility tolerance for the e-admissibility verdict",
+        help="tolerance of the e-admissibility verdict, as a fraction of the utility range",
     )
     problem_common = argparse.ArgumentParser(add_help=False)
     problem_common.add_argument("problem", help="problem file path, or - for stdin")

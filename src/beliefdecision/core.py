@@ -135,6 +135,8 @@ class MassFunction:
             mask = frame.subset(key)
             if mask == 0:
                 raise InvalidMassError("mass assigned to the empty set")
+            if isinstance(value, (bool, np.bool_)):
+                raise InvalidMassError(f"mass {value} on {frame.members(mask)!r} is not a number")
             if value < 0 or not math.isfinite(value):
                 raise InvalidMassError(
                     f"mass {value} on {frame.members(mask)!r} must be finite and nonnegative"

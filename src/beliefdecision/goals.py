@@ -52,8 +52,8 @@ class GoalSystem:
         w = tuple(float(v) for v in weights) if weights is not None else (1.0,) * len(encoded)
         if len(w) != len(encoded):
             raise ValueError(f"{len(encoded)} goals but {len(w)} weights")
-        if any(v <= 0 for v in w):
-            raise ValueError("goal weights must be strictly positive")
+        if any(not math.isfinite(v) or v <= 0 for v in w):
+            raise ValueError("goal weights must be finite and strictly positive")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "goals", encoded)
         object.__setattr__(self, "weights", w)

@@ -21,6 +21,8 @@ from .errors import FrameMismatchError, SolverError
 from .relations import Relation
 from .simplex import LinearProgram, SimplexResult, lp_text, simplex_solve
 
+# a fraction of the utility range: e-admissibility programs are built on
+# gambles mapped onto [0, 1]
 E_ADMISSIBILITY_TOL = 1e-8
 
 
@@ -184,8 +186,13 @@ def e_admissible(
     """Whether some compatible probability makes gamble ``i`` best overall.
 
     Returns the verdict and, when admissible, the witnessing
-    probability vector over the states. Solver failures raise
-    :class:`SolverError`; they are never reported as inadmissibility.
+    probability vector over the states. The verdict does not depend on
+    the units of the utilities: the program is built on the gambles
+    mapped onto [0, 1] by one common affine map, so ``tol`` is a
+    fraction of the utility range (largest payoff minus smallest).
+    Raises ``ValueError`` when that range overflows to infinity. Solver
+    failures raise :class:`SolverError`; they are never reported as
+    inadmissibility.
     """
     if not gambles:
         raise ValueError("need at least one gamble")
@@ -193,10 +200,33 @@ def e_admissible(
         raise IndexError(f"gamble index {i} out of range")
     for g in gambles:
         m._check_frame(g.frame)
-    if len(gambles) == 1:
-        return True, _any_compatible_probability(m)
+    return _decide(_unit_range(gambles), m, i, tol)
 
-    lp = build_e_admissibility_lp(gambles, m, i)
+
+def _unit_range(gambles: Sequence[Gamble]) -> Sequence[Gamble]:
+    """The gambles under the common affine map u -> (u - lo) / (hi - lo).
+
+    ``lo`` and ``hi`` are the smallest and largest payoff of all the
+    gambles. A set with a single payoff value is returned as it is.
+    """
+    payoffs = np.array([g.values for g in gambles])
+    lo, hi = float(payoffs.min()), float(payoffs.max())
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"the utility range from {lo!r} to {hi!r} overflows")
+    if span == 0.0:
+        return gambles
+    frame = gambles[0].frame
+    return [Gamble(frame, row) for row in ((payoffs - lo) / span).tolist()]
+
+
+def _decide(
+    unit: Sequence[Gamble], m: MassFunction, i: int, tol: float
+) -> tuple[bool, tuple[float, ...] | None]:
+    """The verdict and witness for gamble ``i`` of gambles already on [0, 1]."""
+    if len(unit) == 1:
+        return True, _any_compatible_probability(m)
+    lp = build_e_admissibility_lp(unit, m, i)
     result = simplex_solve(lp)
     if result.status != "optimal":
         raise SolverError(
@@ -224,13 +254,16 @@ def e_admissible_set(
     """Indices of e-admissible gambles plus a witness per member.
 
     Screens with the maximality choice set first (e-admissibility
-    implies maximality), then solves one program per surviving gamble.
+    implies maximality), then solves one program per surviving gamble,
+    all on the gambles mapped onto [0, 1] once, as in
+    :func:`e_admissible`; ``tol`` is a fraction of the utility range.
     """
     _, _, candidates = maximality_relation(gambles, m)
+    unit = _unit_range(gambles)
     chosen: list[int] = []
     witnesses: dict[int, tuple[float, ...]] = {}
     for i in candidates:
-        verdict, witness = e_admissible(gambles, m, i, tol=tol)
+        verdict, witness = _decide(unit, m, i, tol)
         if verdict:
             chosen.append(i)
             witnesses[i] = witness

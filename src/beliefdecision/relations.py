@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InvalidMassError
 
 
@@ -219,6 +221,8 @@ class RealMass:
             key = tuple(sorted(set(float(v) for v in values)))
             if not key:
                 raise InvalidMassError("mass assigned to an empty set of reals")
+            if isinstance(mass, (bool, np.bool_)):
+                raise InvalidMassError(f"mass {mass} on {key} is not a number")
             if mass < 0 or not math.isfinite(mass):
                 raise InvalidMassError(f"mass {mass} on {key} must be finite and nonnegative")
             if mass == 0:

@@ -1,8 +1,11 @@
 """Dense-tableau two-phase simplex with Bland's anti-cycling rule.
 
-Solves small linear programs deterministically with no external
-dependencies beyond numpy. Problems here are desk-scale (tens of
-variables), so a dense tableau is both simplest and fast enough.
+Solves linear programs deterministically with no external dependencies
+beyond numpy. The e-admissibility programs run from tens of variables
+(a dozen gambles) to a few hundred (a 100-gamble program has 120 rows,
+156 variables and a 121 x 376 tableau). Each pivot is a handful of
+array operations over the dense tableau; the entering and leaving
+choices are the ones a row-by-row scan makes, ties included.
 """
 
 from __future__ import annotations
@@ -104,39 +107,57 @@ def lp_text(lp: LinearProgram, names: Sequence[str] | None = None) -> str:
 
 
 def _bland_entering(cost_row: np.ndarray, allowed: int) -> int | None:
-    for j in range(allowed):
-        if cost_row[j] < -PIVOT_TOL:
-            return j
-    return None
+    """Lowest column index with a negative reduced cost, or None."""
+    hits = (cost_row[:allowed] < -PIVOT_TOL).nonzero()[0]
+    return int(hits[0]) if hits.size else None
 
 
 def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int | None:
+    """Minimum-ratio row; near ties within PIVOT_TOL go to the smaller basic index.
+
+    The tie rule is not transitive, so it is applied in row order over
+    the candidate rows, as a sequential scan over all rows would.
+    """
+    column = tableau[: len(basis), col]
+    rows = (column > PIVOT_TOL).nonzero()[0]
+    ratios = tableau[rows, -1] / column[rows]
     best_row = None
     best_ratio = None
-    for i in range(len(basis)):
-        a = tableau[i, col]
-        if a > PIVOT_TOL:
-            ratio = tableau[i, -1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio - PIVOT_TOL
-                or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if (
+            best_ratio is None
+            or ratio < best_ratio - PIVOT_TOL
+            or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
+        ):
+            best_ratio = ratio
+            best_row = i
     return best_row
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(
+    tableau: np.ndarray, basis: list[int], row: int, col: int, work: np.ndarray
+) -> None:
+    """Pivot on (row, col); ``work`` is a scratch array shaped like the tableau.
+
+    Rows whose factor in the pivot column is zero are left untouched, so
+    their -0.0 entries stay. Reusing ``work`` spares a fresh tableau-sized
+    temporary, and the page faults it brings, on every pivot.
+    """
     tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    np.multiply.outer(factors, tableau[row], out=work)
+    np.subtract(tableau, work, out=tableau, where=(factors != 0.0)[:, None])
     basis[row] = col
 
 
 def _run_phase(
-    tableau: np.ndarray, basis: list[int], allowed: int, cap: int, start_iter: int
+    tableau: np.ndarray,
+    basis: list[int],
+    allowed: int,
+    cap: int,
+    start_iter: int,
+    work: np.ndarray,
 ) -> int:
     iterations = start_iter
     while True:
@@ -146,7 +167,7 @@ def _run_phase(
         row = _bland_leaving(tableau, basis, col)
         if row is None:
             raise _Unbounded(iterations)
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, basis, row, col, work)
         iterations += 1
         if iterations > cap:
             raise SolverError(
@@ -191,6 +212,7 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
     cap = max_iterations if max_iterations is not None else 10 * (m + total) ** 2
 
     tableau = np.zeros((m + 1, total + 1))
+    work = np.empty_like(tableau)
     tableau[:m, :n] = a
     tableau[:m, -1] = b
     basis: list[int] = [-1] * m
@@ -221,7 +243,7 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
             if basis[i] >= n + n_slack:
                 tableau[-1] -= tableau[i]
         try:
-            iterations = _run_phase(tableau, basis, total, cap, iterations)
+            iterations = _run_phase(tableau, basis, total, cap, iterations, work)
         except _Unbounded as exc:
             raise SolverError(
                 "phase one reported an unbounded objective; the tableau is numerically corrupt"
@@ -233,7 +255,7 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
             if basis[i] >= n + n_slack:
                 for j in range(n + n_slack):
                     if abs(tableau[i, j]) > PIVOT_TOL:
-                        _pivot(tableau, basis, i, j)
+                        _pivot(tableau, basis, i, j, work)
                         iterations += 1
                         break
 
@@ -244,7 +266,7 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
         if basis[i] < n + n_slack and tableau[-1, basis[i]] != 0.0:
             tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
     try:
-        iterations = _run_phase(tableau, basis, n + n_slack, cap, iterations)
+        iterations = _run_phase(tableau, basis, n + n_slack, cap, iterations, work)
     except _Unbounded as exc:
         return SimplexResult("unbounded", None, None, exc.iterations)
 

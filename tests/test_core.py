@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,11 @@ class TestMassFunction:
             MassFunction(states, {("w1",): value})
         with pytest.raises(InvalidMassError):
             MassFunction(states, {("w1",): 1.0, ("w2",): value})
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_bool_masses(self, states, value):
+        with pytest.raises(InvalidMassError, match="not a number"):
+            MassFunction(states, {("w1",): value})
 
     def test_zero_masses_dropped(self, states):
         m = MassFunction(states, {("w1",): 1.0, ("w2",): 0.0})

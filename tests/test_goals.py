@@ -35,6 +35,13 @@ class TestGoalSystem:
         with pytest.raises(ValueError):
             GoalSystem(theta, [["t1"]], [-1.0])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weights(self, theta, weight):
+        with pytest.raises(ValueError, match="finite"):
+            GoalSystem(theta, [["t1"]], [weight])
+        with pytest.raises(ValueError, match="finite"):
+            GoalSystem(theta, [["t1"], ["t2"]], [1.0, weight])
+
     def test_unit_weights_default(self, theta):
         system = GoalSystem(theta, [["t1"], ["t2"]])
         assert system.weights == (1.0, 1.0)

@@ -467,6 +467,76 @@ class TestEAdmissibility:
             e_admissible(gambles, scenario_mass, 9)
 
 
+@st.composite
+def integer_problems(draw):
+    size = draw(st.integers(min_value=2, max_value=4))
+    frame = Frame([f"s{i}" for i in range(size)])
+    subsets = draw(
+        st.lists(st.integers(min_value=1, max_value=frame.full_set),
+                 min_size=1, max_size=min(6, frame.full_set), unique=True)
+    )
+    weights = draw(st.lists(st.integers(min_value=1, max_value=9),
+                            min_size=len(subsets), max_size=len(subsets)))
+    m = MassFunction(frame, {a: w / sum(weights) for a, w in zip(subsets, weights)})
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(st.integers(min_value=-50, max_value=50),
+                                  min_size=size, max_size=size),
+                         min_size=n, max_size=n))
+    return frame, m, rows
+
+
+# four acts under a Bayesian mass on w1 and w3; f1 trails f4 by 0.25 in
+# expected utility and is not e-admissible at any scale
+FLIP_ROWS = ((76.0, 10.0, 80.0), (35.0, 24.0, 5.0), (72.0, 92.0, 67.0), (77.0, 24.0, 80.0))
+FLIP_MASS = {("w1",): 0.25, ("w3",): 0.75}
+
+
+class TestUnitInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_problems(), st.integers(min_value=-30, max_value=30),
+           st.integers(min_value=-10**6, max_value=10**6))
+    def test_choice_sets_ignore_a_change_of_units(self, problem, exponent, shift):
+        # integer payoffs times a power of two plus an integer are exact,
+        # so any difference in the choice sets is a defect, not round-off
+        frame, m, rows = problem
+        gambles = [Gamble(frame, row) for row in rows]
+        moved = [Gamble(frame, [math.ldexp(v, exponent) + shift for v in row]) for row in rows]
+        assert e_admissible_set(moved, m) == e_admissible_set(gambles, m)
+        assert maximality_relation(moved, m)[2] == maximality_relation(gambles, m)[2]
+
+    def test_demo_at_money_scale(self, scenario_mass, gambles):
+        # at 1e9 the program used to end "infeasible" and raise SolverError
+        scaled = [Gamble(g.frame, [v * 1e9 for v in g.payoffs]) for g in gambles]
+        chosen, witnesses = e_admissible_set(scaled, scenario_mass)
+        assert chosen == [0, 1]
+        for i in chosen:
+            _assert_witness_valid(witnesses[i], scenario_mass, gambles, i)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e9])
+    def test_small_scale_keeps_a_trailing_act_out(self, states, scale):
+        # at 1e-8 the 0.25e-8 gap fell under the absolute tolerance, and
+        # f1 was reported e-admissible
+        m = MassFunction(states, FLIP_MASS)
+        gambles = [Gamble(states, [v * scale for v in row]) for row in FLIP_ROWS]
+        assert e_admissible(gambles, m, 0) == (False, None)
+        chosen, witnesses = e_admissible_set(gambles, m)
+        assert chosen == [3]
+        assert witnesses[3] == pytest.approx((0.25, 0.0, 0.75), abs=1e-12)
+
+    def test_equal_payoffs_everywhere(self, states, scenario_mass):
+        gambles = [Gamble(states, (7.0, 7.0, 7.0))] * 3
+        chosen, witnesses = e_admissible_set(gambles, scenario_mass)
+        assert chosen == [0, 1, 2]
+        for i in chosen:
+            _assert_witness_valid(witnesses[i], scenario_mass, gambles, i)
+
+    def test_overflowing_utility_range_gives_no_verdict(self, states, scenario_mass):
+        gambles = [Gamble(states, (1e308, 0.0, 0.0)), Gamble(states, (-1e308, 0.0, 0.0))]
+        for i in (0, 1):
+            with pytest.raises(ValueError, match="overflows"):
+                e_admissible(gambles, scenario_mass, i)
+
+
 def _assert_witness_valid(witness, m, gambles, i, tol=1e-8):
     # must be a probability in the credal set of m ...
     assert math.fsum(witness) == pytest.approx(1.0, abs=tol)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from beliefdecision import (
@@ -199,6 +200,11 @@ class TestRealMass:
             RealMass([((1.0, 2.0), value)])
         with pytest.raises(InvalidMassError):
             RealMass([((1.0,), 1.0), ((2.0,), value)])
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_bool_mass(self, value):
+        with pytest.raises(InvalidMassError, match="not a number"):
+            RealMass([((1.0, 2.0), value)])
 
 
 class TestCredalOrders:
