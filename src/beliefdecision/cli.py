@@ -18,16 +18,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .core import Frame, MassFunction, pignistic, plausibility_transform
-from .criteria import (
-    LocalPessimismIndex,
-    generalized_hurwicz,
-    generalized_minimax_regret,
-    generalized_owa_expected_utility,
-    jaffray_utility,
-    lower_expectation,
-    pignistic_expected_utility,
-    upper_expectation,
-)
+from .criteria import LocalPessimismIndex, generalized_minimax_regret, hurwicz_blend
 from .errors import BeliefDecisionError, FrameMismatchError, SolverError, ValidationError
 from .goals import GoalSystem, classification_scores, deterministic_score, expected_score, goal_audit
 from .ignorance import (
@@ -135,22 +126,22 @@ def _rank_scores(problem: DecisionProblem, args) -> tuple[list[float], bool]:
         scores = generalized_minimax_regret(problem.payoff_matrix(), problem.require_mass())
         return list(scores), True
 
-    lotteries = [problem.lottery(i) for i in range(problem.n_acts)]
+    summaries = problem.summaries()
     if criterion == "lower":
-        return [lower_expectation(mu, u) for mu, u in lotteries], False
+        return [s.lower() for s in summaries], False
     if criterion == "upper":
-        return [upper_expectation(mu, u) for mu, u in lotteries], False
+        return [s.upper() for s in summaries], False
     if criterion == "ghurwicz":
         alpha = need_alpha()
-        return [generalized_hurwicz(mu, u, alpha) for mu, u in lotteries], False
+        return [hurwicz_blend(s.lower(), s.upper(), alpha) for s in summaries], False
     if criterion == "pignistic":
-        return [pignistic_expected_utility(mu, u) for mu, u in lotteries], False
+        return [s.pignistic() for s in summaries], False
     if criterion == "gowa":
         beta = need_beta()
-        return [generalized_owa_expected_utility(mu, u, beta) for mu, u in lotteries], False
+        return [s.owa(beta) for s in summaries], False
     if criterion == "jaffray":
         index = _jaffray_index(problem, args)
-        return [jaffray_utility(mu, u, index) for mu, u in lotteries], False
+        return [s.jaffray(index) for s in summaries], False
     raise UsageError(f"unknown criterion {criterion!r}")
 
 
@@ -214,10 +205,8 @@ def cmd_rank(args) -> int:
 
 
 def _expectation_bounds(problem: DecisionProblem) -> tuple[list[float], list[float]]:
-    lotteries = [problem.lottery(i) for i in range(problem.n_acts)]
-    lowers = [lower_expectation(mu, u) for mu, u in lotteries]
-    uppers = [upper_expectation(mu, u) for mu, u in lotteries]
-    return lowers, uppers
+    summaries = problem.summaries()
+    return [s.lower() for s in summaries], [s.upper() for s in summaries]
 
 
 def cmd_choice(args) -> int:
@@ -301,7 +290,9 @@ def cmd_sweep(args) -> int:
     if args.criterion in ("hurwicz", "owa"):
         matrix = problem.payoff_matrix()
     else:
-        lotteries = [problem.lottery(i) for i in range(problem.n_acts)]
+        summaries = problem.summaries()
+        if args.criterion == "ghurwicz":
+            bounds = [(s.lower(), s.upper()) for s in summaries]
 
     def scores_at(value: float) -> list[float]:
         if args.criterion == "hurwicz":
@@ -314,8 +305,8 @@ def cmd_sweep(args) -> int:
             )
             return [owa_aggregate(row, weights) for row in matrix.utilities]
         if args.criterion == "ghurwicz":
-            return [generalized_hurwicz(mu, u, value) for mu, u in lotteries]
-        return [generalized_owa_expected_utility(mu, u, value) for mu, u in lotteries]
+            return [hurwicz_blend(low, high, value) for low, high in bounds]
+        return [s.owa(value) for s in summaries]
 
     rows = [[value] + scores_at(value) for value in grid]
     print(",".join([param] + list(problem.act_names)))

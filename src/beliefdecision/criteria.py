@@ -3,29 +3,125 @@
 A lottery is a mass function over consequences together with a utility
 table. Each criterion aggregates the utilities inside every focal set
 into one number and averages those by the focal masses, so all of them
-collapse to ordinary expected utility on Bayesian lotteries.
+collapse to ordinary expected utility on Bayesian lotteries. Each is a
+reduction over one :class:`FocalSummary`, which reads every focal set's
+utilities once; acts given as utility rows share the state mass and are
+summarised together by :func:`summarize_rows`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Mapping
+from operator import mul
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import Frame, MassFunction, UtilityTable, iter_elements, nonspecificity
 from .ignorance import OwaWeights, PayoffMatrix, max_entropy_owa_weights, minimax_regret
 
 
+@lru_cache(maxsize=4096)
+def _owa_weights_cached(arity: int, beta: float) -> OwaWeights:
+    return max_entropy_owa_weights(arity, beta)
+
+
+def _check_unit(value: float, what: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], got {value}")
+
+
+class FocalSummary(NamedTuple):
+    """A lottery with each focal set read once, in ascending mask order.
+
+    Per focal set: its mask and mass, its utilities in frame order, the
+    first of their minima (Python's ``min``; numpy's may flip the sign of
+    a zero) and the utilities in decreasing order, ties in frame order.
+    """
+
+    frame: Frame
+    masks: Sequence[int]
+    masses: Sequence[float]
+    values: Sequence[Sequence[float]]
+    lows: Sequence[float]
+    ordered: Sequence[Sequence[float]]
+
+    @classmethod
+    def of(cls, mu: MassFunction, u: UtilityTable) -> "FocalSummary":
+        """Summarise the lottery ``(mu, u)``; the frames must match."""
+        mu._check_frame(u.frame)
+        masks, masses = zip(*mu.items())
+        values = [u.over(a) for a in masks]
+        return cls(mu.frame, masks, masses, values, [min(x) for x in values],
+                   [sorted(x, reverse=True) for x in values])
+
+    def lower(self) -> float:
+        return math.fsum(map(mul, self.masses, self.lows))
+
+    def upper(self) -> float:
+        return math.fsum([v * x[0] for v, x in zip(self.masses, self.ordered)])
+
+    def pignistic(self) -> float:
+        return math.fsum([v * math.fsum(x) / len(x) for v, x in zip(self.masses, self.values)])
+
+    def owa(self, beta: float) -> float:
+        _check_unit(beta, "degree of optimism")
+        return math.fsum([
+            v * x[0] if len(x) == 1
+            else v * math.fsum(map(mul, _owa_weights_cached(len(x), beta).w, x))
+            for v, x in zip(self.masses, self.ordered)
+        ])
+
+    def jaffray(self, index: LocalPessimismIndex) -> float:
+        labels, terms = self.frame.labels, []
+        for a, v, x, low, ordered in zip(self.masks, self.masses, self.values, self.lows,
+                                         self.ordered):
+            high = ordered[0]
+            # the worst and best consequences are the first of their ties in frame order
+            elements = list(iter_elements(a))
+            alpha = index(labels[elements[x.index(low)]], labels[elements[x.index(high)]])
+            terms.append(v * (alpha * low + (1.0 - alpha) * high))
+        return math.fsum(terms)
+
+
+def summarize_rows(m: MassFunction, rows: Sequence[Sequence[float]]) -> list[FocalSummary]:
+    """The summary of every lottery ``(m, row)``, one array pass per focal set.
+
+    Each summary holds the same numbers, bit for bit, as
+    ``FocalSummary.of(m, UtilityTable(m.frame, row))``.
+    """
+    u = np.asarray(rows, dtype=float).reshape(len(rows), m.frame.size)
+    if not np.isfinite(u).all():
+        raise ValueError("utilities must be finite")
+    masks, masses = zip(*m.items())
+    act = np.arange(len(u))
+    values, lows, ordered = [], [], []
+    for a in masks:
+        cols = u[:, list(iter_elements(a))]
+        # argmin and a stable argsort keep the first of tied entries, as
+        # Python's min and sorted do, so each keeps the sign of its zero
+        values.append(cols.tolist())
+        lows.append(cols[act, cols.argmin(axis=1)].tolist())
+        ordered.append(cols[act[:, None], np.argsort(-cols, axis=1, kind="stable")].tolist())
+    return [FocalSummary(m.frame, masks, masses, x, low, o)
+            for x, low, o in zip(zip(*values), zip(*lows), zip(*ordered))]
+
+
 def lower_expectation(mu: MassFunction, u: UtilityTable) -> float:
     """Mass-weighted average of the worst utility in each focal set."""
-    mu._check_frame(u.frame)
-    return math.fsum(v * min(u.over(a)) for a, v in mu.items())
+    return FocalSummary.of(mu, u).lower()
 
 
 def upper_expectation(mu: MassFunction, u: UtilityTable) -> float:
     """Mass-weighted average of the best utility in each focal set."""
-    mu._check_frame(u.frame)
-    return math.fsum(v * max(u.over(a)) for a, v in mu.items())
+    return FocalSummary.of(mu, u).upper()
+
+
+def hurwicz_blend(lower: float, upper: float, alpha: float) -> float:
+    """``alpha * lower + (1 - alpha) * upper``, for a pessimism index in [0, 1]."""
+    _check_unit(alpha, "pessimism index")
+    return alpha * lower + (1.0 - alpha) * upper
 
 
 def generalized_hurwicz(mu: MassFunction, u: UtilityTable, alpha: float) -> float:
@@ -34,9 +130,9 @@ def generalized_hurwicz(mu: MassFunction, u: UtilityTable, alpha: float) -> floa
     ``alpha`` is the pessimism index: 1 gives the lower expectation,
     0 the upper.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"pessimism index must be in [0, 1], got {alpha}")
-    return alpha * lower_expectation(mu, u) + (1.0 - alpha) * upper_expectation(mu, u)
+    _check_unit(alpha, "pessimism index")
+    summary = FocalSummary.of(mu, u)
+    return hurwicz_blend(summary.lower(), summary.upper(), alpha)
 
 
 def auto_hurwicz_alpha(mu: MassFunction) -> float:
@@ -53,13 +149,7 @@ def pignistic_expected_utility(mu: MassFunction, u: UtilityTable) -> float:
 
     Equals expected utility under the pignistic probability.
     """
-    mu._check_frame(u.frame)
-    return math.fsum(v * math.fsum(u.over(a)) / a.bit_count() for a, v in mu.items())
-
-
-@lru_cache(maxsize=4096)
-def _owa_weights_cached(arity: int, beta: float) -> OwaWeights:
-    return max_entropy_owa_weights(arity, beta)
+    return FocalSummary.of(mu, u).pignistic()
 
 
 def generalized_owa_expected_utility(mu: MassFunction, u: UtilityTable, beta: float) -> float:
@@ -70,19 +160,8 @@ def generalized_owa_expected_utility(mu: MassFunction, u: UtilityTable, beta: fl
     beta = 0 gives the lower expectation, 1 the upper, and 0.5 the
     pignistic expected utility.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"degree of optimism must be in [0, 1], got {beta}")
-    mu._check_frame(u.frame)
-    terms = []
-    for a, v in mu.items():
-        values = u.over(a)
-        if len(values) == 1:
-            terms.append(v * values[0])
-        else:
-            weights = _owa_weights_cached(len(values), beta)
-            ordered = sorted(values, reverse=True)
-            terms.append(v * math.fsum(w * x for w, x in zip(weights.w, ordered)))
-    return math.fsum(terms)
+    _check_unit(beta, "degree of optimism")
+    return FocalSummary.of(mu, u).owa(beta)
 
 
 def generalized_minimax_regret(matrix: PayoffMatrix, m: MassFunction) -> tuple[float, ...]:
@@ -96,7 +175,7 @@ def generalized_minimax_regret(matrix: PayoffMatrix, m: MassFunction) -> tuple[f
     """
     m._check_frame(Frame(matrix.state_names))
     regret, _ = minimax_regret(matrix)
-    return tuple(upper_expectation(m, UtilityTable(m.frame, row)) for row in regret)
+    return tuple(s.upper() for s in summarize_rows(m, regret))
 
 
 class SetUtility:
@@ -180,12 +259,4 @@ def jaffray_utility(mu: MassFunction, u: UtilityTable, index: LocalPessimismInde
     local pessimism index. A constant index reduces to the plain blended
     criterion.
     """
-    mu._check_frame(u.frame)
-    terms = []
-    for a, v in mu.items():
-        indices = list(iter_elements(a))
-        worst = min(indices, key=lambda i: (u.of_index(i), i))
-        best = max(indices, key=lambda i: (u.of_index(i), -i))
-        alpha = index(mu.frame.labels[worst], mu.frame.labels[best])
-        terms.append(v * (alpha * u.of_index(worst) + (1.0 - alpha) * u.of_index(best)))
-    return math.fsum(terms)
+    return FocalSummary.of(mu, u).jaffray(index)

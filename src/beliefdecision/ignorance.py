@@ -74,17 +74,12 @@ def prune_dominated(matrix: PayoffMatrix) -> tuple[list[int], list[tuple[int, in
     surviving: list[int] = []
     pairs: list[tuple[int, int]] = []
     for i in range(matrix.n_acts):
-        dominator = None
-        for k in range(matrix.n_acts):
-            if k == i:
-                continue
-            if np.all(u[k] >= u[i]) and np.any(u[k] > u[i]):
-                dominator = k
-                break
-        if dominator is None:
-            surviving.append(i)
+        # row i never dominates itself; the first dominator in index order is reported
+        dominators = np.flatnonzero((u >= u[i]).all(axis=1) & (u > u[i]).any(axis=1))
+        if dominators.size:
+            pairs.append((i, int(dominators[0])))
         else:
-            pairs.append((i, dominator))
+            surviving.append(i)
     return surviving, pairs
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, IO
 
 from .core import Act, Frame, MassFunction, UtilityTable, pushforward
+from .criteria import FocalSummary, summarize_rows
 from .errors import BeliefDecisionError, FrameMismatchError, ValidationError
 from .ignorance import PayoffMatrix
 from .previsions import Gamble
@@ -90,6 +91,21 @@ class DecisionProblem:
         if self.utilities is None:
             raise ValidationError("consequence-mapped acts need a utility table")
         return pushforward(m, act), self.utilities
+
+    def summaries(self) -> list[FocalSummary]:
+        """The focal summary of every act's lottery, in act order.
+
+        Each act's lottery is built once. Acts given as utility rows
+        share the state mass, so their lotteries are summarised together.
+        """
+        lotteries = [self.lottery(i) for i in range(self.n_acts)]
+        row_acts = [i for i, act in enumerate(self.acts) if act is None]
+        by_act = {}
+        if row_acts:
+            rows = [lotteries[i][1].values for i in row_acts]
+            by_act = dict(zip(row_acts, summarize_rows(self.mass, rows)))
+        return [by_act[i] if i in by_act else FocalSummary.of(*lotteries[i])
+                for i in range(self.n_acts)]
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-ready form; re-parses to an equivalent problem."""

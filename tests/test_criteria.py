@@ -1,9 +1,16 @@
 """Complete-preorder criteria over evidential lotteries."""
 
+import contextlib
+import io
+import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefdecision import (
     Act,
@@ -23,6 +30,10 @@ from beliefdecision import (
     pushforward,
     upper_expectation,
 )
+from beliefdecision.cli import main
+from beliefdecision.criteria import FocalSummary, _owa_weights_cached, summarize_rows
+from beliefdecision.ignorance import PayoffMatrix, minimax_regret
+from beliefdecision.problems import parse_problem_dict
 from conftest import (
     ACT_NAMES,
     STATES,
@@ -385,3 +396,244 @@ class TestBayesianCollapse:
             ]
             for v in values:
                 assert v == pytest.approx(eu, abs=1e-12)
+
+
+# -- reference identity: the per-criterion loops the focal summary replaced --------
+
+
+def ref_lower(mu, u):
+    mu._check_frame(u.frame)
+    return math.fsum(v * min(u.over(a)) for a, v in mu.items())
+
+
+def ref_upper(mu, u):
+    mu._check_frame(u.frame)
+    return math.fsum(v * max(u.over(a)) for a, v in mu.items())
+
+
+def ref_hurwicz(mu, u, alpha):
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"pessimism index must be in [0, 1], got {alpha}")
+    return alpha * ref_lower(mu, u) + (1.0 - alpha) * ref_upper(mu, u)
+
+
+def ref_pignistic(mu, u):
+    mu._check_frame(u.frame)
+    return math.fsum(v * math.fsum(u.over(a)) / a.bit_count() for a, v in mu.items())
+
+
+def ref_owa(mu, u, beta):
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"degree of optimism must be in [0, 1], got {beta}")
+    mu._check_frame(u.frame)
+    terms = []
+    for a, v in mu.items():
+        values = u.over(a)
+        if len(values) == 1:
+            terms.append(v * values[0])
+        else:
+            weights = _owa_weights_cached(len(values), beta)
+            ordered = sorted(values, reverse=True)
+            terms.append(v * math.fsum(w * x for w, x in zip(weights.w, ordered)))
+    return math.fsum(terms)
+
+
+def ref_jaffray(mu, u, index):
+    mu._check_frame(u.frame)
+    terms = []
+    for a, v in mu.items():
+        indices = [i for i in range(mu.frame.size) if a >> i & 1]
+        worst = min(indices, key=lambda i: (u.of_index(i), i))
+        best = max(indices, key=lambda i: (u.of_index(i), -i))
+        alpha = index(mu.frame.labels[worst], mu.frame.labels[best])
+        terms.append(v * (alpha * u.of_index(worst) + (1.0 - alpha) * u.of_index(best)))
+    return math.fsum(terms)
+
+
+def ref_gregret(matrix, m):
+    m._check_frame(Frame(matrix.state_names))
+    regret, _ = minimax_regret(matrix)
+    return tuple(ref_upper(m, UtilityTable(m.frame, row)) for row in regret)
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def bits(value):
+    """Every float as its exact hex form, lists and tuples alike, so zeros keep their sign."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value
+
+
+def assert_same(got, ref):
+    """Equal, and equal in the sign of a zero; for numbers, tuples and outcomes."""
+    if isinstance(ref, tuple):
+        assert type(got) is tuple and len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_same(g, r)
+    elif isinstance(ref, float):
+        assert isinstance(got, float)
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (got, ref)
+    else:
+        assert got == ref
+
+
+# utilities: a few values per lottery, so ties are common, from 1e-300 to
+# 1e300 in magnitude, signed zeros among them
+MAGNITUDE = st.builds(
+    lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+    st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, 1.5, 3.0, 7.25)),
+    st.integers(-300, 300),
+)
+UTILITY = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0)), MAGNITUDE)
+ALPHA = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def utility_rows(draw, n_rows, size):
+    pool = draw(st.lists(UTILITY, min_size=1, max_size=4))
+    return [[draw(st.sampled_from(pool)) for _ in range(size)] for _ in range(n_rows)]
+
+
+@st.composite
+def adversarial_masses(draw, frame):
+    """Masses summing to within 1e-9 of one, some focal set possibly given twice."""
+    focal = draw(st.lists(st.integers(1, frame.full_set), min_size=1, max_size=8, unique=True))
+    raw = [draw(st.sampled_from((1e-12, 1e-3, 0.3, 1.0))) for _ in focal]
+    total = math.fsum(raw)
+    slack = draw(st.sampled_from((0.0, 0.999e-9, -0.999e-9, 0.5e-9)))
+    masses = [v / total * (1.0 + slack) for v in raw]
+    doc = dict(zip(focal, masses))
+    if draw(st.booleans()):
+        # the first focal set given twice: as a bitmask and as labels
+        a, v = focal[0], masses[0]
+        share = draw(st.sampled_from((0.5, 1e-9, 1.0 - 1e-9)))
+        doc = {a: v * share, **{b: w for b, w in doc.items() if b != a},
+               frame.members(a): v - v * share}
+    try:
+        return MassFunction(frame, doc)
+    except ValueError:
+        # rounding pushed the total just past the tolerance
+        return draw(st.nothing())
+
+
+@st.composite
+def adversarial_lotteries(draw, max_size=5):
+    n = draw(st.integers(1, max_size))
+    frame = Frame([f"c{i}" for i in range(n)])
+    mu = draw(adversarial_masses(frame))
+    return mu, UtilityTable(frame, draw(utility_rows(1, n))[0])
+
+
+def pair_index(frame, seed):
+    """A pessimism index with its own value for every ordered pair of labels."""
+    rng = random.Random(seed)
+    return LocalPessimismIndex(
+        {(a, b): rng.choice((0.0, 0.25, 0.3, 0.5, 1.0)) for a in frame.labels for b in frame.labels}
+    )
+
+
+class TestFocalSummaryReferenceIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_lotteries(), ALPHA, st.integers(0, 3))
+    def test_every_criterion(self, lottery, param, seed):
+        mu, u = lottery
+        index = pair_index(mu.frame, seed)
+        for got, ref in (
+            (lower_expectation, ref_lower),
+            (upper_expectation, ref_upper),
+            (pignistic_expected_utility, ref_pignistic),
+        ):
+            assert_same(outcome(got, mu, u), outcome(ref, mu, u))
+        assert_same(outcome(generalized_hurwicz, mu, u, param), outcome(ref_hurwicz, mu, u, param))
+        assert_same(outcome(generalized_owa_expected_utility, mu, u, param),
+                    outcome(ref_owa, mu, u, param))
+        assert_same(outcome(jaffray_utility, mu, u, index), outcome(ref_jaffray, mu, u, index))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_row_summaries(self, n_states, n_acts, data):
+        # one array pass for all acts gives every act's own summary, bit for bit
+        frame = Frame([f"s{i}" for i in range(n_states)])
+        m = data.draw(adversarial_masses(frame))
+        rows = data.draw(utility_rows(n_acts, n_states))
+        beta = data.draw(ALPHA)
+        index = pair_index(frame, data.draw(st.integers(0, 3)))
+        summaries = summarize_rows(m, rows)
+        assert len(summaries) == n_acts
+        for s, row in zip(summaries, rows):
+            u = UtilityTable(frame, row)
+            single = FocalSummary.of(m, u)
+            assert bits(s) == bits(single)
+            assert_same(s.lower(), ref_lower(m, u))
+            assert_same(s.upper(), ref_upper(m, u))
+            assert_same(s.pignistic(), ref_pignistic(m, u))
+            assert_same(outcome(s.owa, beta), outcome(ref_owa, m, u, beta))
+            assert_same(s.jaffray(index), ref_jaffray(m, u, index))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_generalized_minimax_regret(self, n_states, n_acts, data):
+        frame = Frame([f"s{i}" for i in range(n_states)])
+        m = data.draw(adversarial_masses(frame))
+        matrix = PayoffMatrix([f"f{i}" for i in range(n_acts)], frame.labels,
+                              data.draw(utility_rows(n_acts, n_states)))
+        assert_same(outcome(generalized_minimax_regret, matrix, m), outcome(ref_gregret, matrix, m))
+
+
+@st.composite
+def sweep_problems(draw):
+    """A problem file with utility-row acts and consequence-mapped acts."""
+    n = draw(st.integers(1, 4))
+    states = [f"w{i}" for i in range(n)]
+    cons = ["c0", "c1", "c2"]
+    values = draw(utility_rows(2, max(n, 3)))
+    mass = draw(adversarial_masses(Frame(states)))
+    acts = [{"name": f"r{k}", "utilities": row[:n]} for k, row in enumerate(values)]
+    for k in range(draw(st.integers(0, 2))):
+        images = {w: draw(st.lists(st.sampled_from(cons), min_size=1, max_size=3, unique=True))
+                  for w in states}
+        acts.append({"name": f"m{k}", "consequences": images})
+    return {
+        "states": states,
+        "consequences": cons,
+        "utilities": dict(zip(cons, values[1][:3])),
+        "acts": acts,
+        "mass": [{"focal": list(mass.frame.members(a)), "mass": v} for a, v in mass.items()],
+    }
+
+
+class TestSweepReferenceIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_problems(), st.sampled_from(("ghurwicz", "gowa")),
+           st.sampled_from(((0.0, 1.0, 11), (0.1, 0.7, 4), (0.3, 0.3, 2))))
+    def test_sweep_rows(self, doc, criterion, grid):
+        start, stop, steps = grid
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "problem.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["sweep", path, "--criterion", criterion, "--from", str(start),
+                             "--to", str(stop), "--steps", str(steps)])
+        assert code == 0
+        problem = parse_problem_dict(doc)
+        lotteries = [problem.lottery(i) for i in range(problem.n_acts)]
+        ref = ref_hurwicz if criterion == "ghurwicz" else ref_owa
+        grid_values = [stop if k == steps - 1 else start + (stop - start) * k / (steps - 1)
+                       for k in range(steps)]
+        expected = [",".join(["alpha" if criterion == "ghurwicz" else "beta"]
+                             + list(problem.act_names))]
+        for value in grid_values:
+            row = [value] + [ref(mu, u, value) for mu, u in lotteries]
+            expected.append(",".join(f"{v!r}" for v in row))
+        assert out.getvalue().splitlines() == expected

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefdecision import (
     OwaWeights,
@@ -253,3 +255,54 @@ class TestMaxEntropyOwaWeights:
             max_entropy_owa_weights(3, 1.2)
         with pytest.raises(UndefinedMeasureError):
             max_entropy_owa_weights(1, 0.5)
+
+
+# -- reference identity: the nested dominance loop ------------------------------
+
+
+def ref_prune_dominated(matrix):
+    u = matrix.as_array()
+    surviving, pairs = [], []
+    for i in range(matrix.n_acts):
+        dominator = None
+        for k in range(matrix.n_acts):
+            if k == i:
+                continue
+            if np.all(u[k] >= u[i]) and np.any(u[k] > u[i]):
+                dominator = k
+                break
+        if dominator is None:
+            surviving.append(i)
+        else:
+            pairs.append((i, dominator))
+    return surviving, pairs
+
+
+# few values per matrix, so ties and repeated rows are common; magnitudes
+# from 1e-300 to 1e300 and signed zeros among them
+PAYOFF = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+    st.builds(lambda sign, exp: sign * 10.0 ** exp, st.sampled_from((1.0, -1.0)),
+              st.integers(-300, 300)),
+)
+
+
+@st.composite
+def payoff_matrices(draw):
+    n_acts, n_states = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    pool = draw(st.lists(PAYOFF, min_size=1, max_size=3))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(n_states)] for _ in range(n_acts)]
+    return PayoffMatrix([f"f{i}" for i in range(n_acts)], [f"s{j}" for j in range(n_states)], rows)
+
+
+class TestPruneReferenceIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(payoff_matrices())
+    def test_same_survivors_and_first_dominators(self, matrix):
+        assert prune_dominated(matrix) == ref_prune_dominated(matrix)
+
+    def test_first_dominator_in_index_order(self):
+        # f0 is beaten by f1, f2 and f3; the report names f1
+        matrix = PayoffMatrix(["f0", "f1", "f2", "f3"], ["s0", "s1"],
+                              [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-0.0, 2.0]])
+        assert prune_dominated(matrix) == ([2, 3], [(0, 1), (1, 2)])
