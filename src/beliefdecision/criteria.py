@@ -194,6 +194,8 @@ class SetUtility:
             )
         if 0 in encoded:
             raise ValueError("set utility must not assign a value to the empty set")
+        if not all(math.isfinite(v) for v in encoded.values()):
+            raise ValueError("set utilities must be finite")
         self._table = encoded
 
     @classmethod

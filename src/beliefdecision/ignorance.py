@@ -132,8 +132,8 @@ class OwaWeights:
 
     def __init__(self, w: Iterable[float]):
         weights = tuple(float(v) for v in w)
-        if any(v < 0 for v in weights):
-            raise ValueError(f"weights must be nonnegative, got {weights}")
+        if not all(v >= 0 and math.isfinite(v) for v in weights):
+            raise ValueError(f"weights must be finite and nonnegative, got {weights}")
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total!r}, expected 1")

@@ -111,13 +111,10 @@ def maximality_relation(
     return delta, relation, chosen
 
 
-def _allocation_layout(m: MassFunction) -> list[tuple[int, int]]:
-    """(state index, focal position) pairs for every allocation variable."""
-    layout = []
-    for j, (a, _) in enumerate(m.items()):
-        for k in iter_elements(a):
-            layout.append((k, j))
-    return layout
+def _allocation_layout(m: MassFunction) -> np.ndarray:
+    """(state index, focal position) rows, one per allocation variable."""
+    pairs = [(k, j) for j, (a, _) in enumerate(m.items()) for k in iter_elements(a)]
+    return np.array(pairs, dtype=np.intp)
 
 
 def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int) -> LinearProgram:
@@ -131,53 +128,27 @@ def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int)
     minimized; it reaches zero exactly when some compatible probability
     makes gamble ``i`` a best response.
     """
-    n = len(gambles)
-    s = m.frame.size
-    focal = list(m.items())
-    layout = _allocation_layout(m)
-    n_alloc = len(layout)
-    others = [l for l in range(n) if l != i]
-    n_vars = n_alloc + s + len(others)
-
-    rows: list[list[float]] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-
+    payoffs = np.array([g.payoffs for g in gambles])
+    n, s = payoffs.shape
+    masses = [v for _, v in m.items()]
+    states, focal = _allocation_layout(m).T
+    n_alloc, n_focal = states.size, len(masses)
+    alloc = np.arange(n_alloc)
+    rhs = np.zeros(n_focal + s + n - 1)
+    rhs[:n_focal] = masses
+    lhs = np.zeros((rhs.size, n_alloc + s + n - 1))
     # each focal mass fully allocated among its elements
-    for j, (_, mass) in enumerate(focal):
-        row = [0.0] * n_vars
-        for pos, (k, jj) in enumerate(layout):
-            if jj == j:
-                row[pos] = 1.0
-        rows.append(row)
-        senses.append("=")
-        rhs.append(mass)
-
+    lhs[focal, alloc] = 1.0
     # probabilities collect their allocations
-    for k in range(s):
-        row = [0.0] * n_vars
-        for pos, (kk, _) in enumerate(layout):
-            if kk == k:
-                row[pos] = -1.0
-        row[n_alloc + k] = 1.0
-        rows.append(row)
-        senses.append("=")
-        rhs.append(0.0)
-
+    lhs[n_focal + states, alloc] = -1.0
+    lhs[n_focal + np.arange(s), n_alloc + np.arange(s)] = 1.0
     # gamble i must not be beaten by more than each competitor's slack
-    for slot, l in enumerate(others):
-        row = [0.0] * n_vars
-        for k in range(s):
-            row[n_alloc + k] = gambles[i].payoffs[k] - gambles[l].payoffs[k]
-        row[n_alloc + s + slot] = 1.0
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(0.0)
-
-    objective = [0.0] * n_vars
-    for slot in range(len(others)):
-        objective[n_alloc + s + slot] = 1.0
-    return LinearProgram(objective, rows, senses, rhs)
+    competitors = lhs[n_focal + s :]
+    competitors[:, n_alloc : n_alloc + s] = payoffs[i] - np.delete(payoffs, i, axis=0)
+    competitors[:, n_alloc + s :] = np.eye(n - 1)
+    objective = np.zeros(lhs.shape[1])
+    objective[n_alloc + s :] = 1.0
+    return LinearProgram(objective, lhs, ("=",) * (n_focal + s) + (">=",) * (n - 1), rhs)
 
 
 def e_admissible(
@@ -273,7 +244,7 @@ def e_admissible_set(
 def e_admissibility_lp_text(gambles: Sequence[Gamble], m: MassFunction, i: int) -> str:
     """Debug dump of the program for gamble ``i`` as plain-text equations."""
     lp = build_e_admissibility_lp(gambles, m, i)
-    layout = _allocation_layout(m)
+    layout = _allocation_layout(m).tolist()
     names = [f"a[{m.frame.labels[k]},F{j + 1}]" for k, j in layout]
     names += [f"p[{label}]" for label in m.frame.labels]
     names += [f"slack{l + 1}" for l in range(len(gambles)) if l != i]

@@ -221,6 +221,8 @@ class RealMass:
             key = tuple(sorted(set(float(v) for v in values)))
             if not key:
                 raise InvalidMassError("mass assigned to an empty set of reals")
+            if not all(math.isfinite(v) for v in key):
+                raise InvalidMassError(f"focal set {key} holds a non-finite real")
             if isinstance(mass, (bool, np.bool_)):
                 raise InvalidMassError(f"mass {mass} on {key} is not a number")
             if mass < 0 or not math.isfinite(mass):

@@ -6,6 +6,21 @@ beyond numpy. The e-admissibility programs run from tens of variables
 156 variables and a 121 x 376 tableau). Each pivot is a handful of
 array operations over the dense tableau; the entering and leaving
 choices are the ones a row-by-row scan makes, ties included.
+
+A :class:`LinearProgram` holds read-only float64 arrays, checked once
+when it is made; :func:`simplex_solve` copies them only into its
+tableau. There each row is scaled by the power of two that brings its
+largest entry into [1, 2), then each column, then the objective.
+Entries in a column with a single nonzero (the slack of an
+e-admissibility competitor row) do not count towards their row's
+largest entry, since that column's own scale settles them. Powers of
+two are exact, so the scaled tableau differs only in its exponents, the
+absolute pivot tolerance meets comparable magnitudes whatever the units
+of the program, and the solution is multiplied back by the column
+scales. Phase one weighs each artificial by its row's largest entry and
+reports infeasibility when its objective stays above a fraction of its
+starting value. A program whose rows and columns already peak at 1,
+such as an e-admissibility program on [0, 1], is not rescaled at all.
 """
 
 from __future__ import annotations
@@ -19,57 +34,67 @@ from .errors import SolverError
 
 SENSES = ("<=", "=", ">=")
 PIVOT_TOL = 1e-9
+# phase one ends infeasible above this fraction of its starting objective
+PHASE_ONE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min (or max) c.x  subject to  A x {<=,=,>=} b,  x >= lower_bounds."""
+    """min (or max) c.x  subject to  A x {<=,=,>=} b,  x >= lower_bounds.
 
-    objective: tuple[float, ...]
-    lhs: tuple[tuple[float, ...], ...]
+    ``objective``, ``lhs``, ``rhs`` and ``lower_bounds`` are read-only
+    float64 arrays, copied from sequences or arrays and checked once
+    here; ``lhs`` has shape (n_rows, n_vars) even when there are no
+    rows. A program equals only itself.
+    """
+
+    objective: np.ndarray
+    lhs: np.ndarray
     senses: tuple[str, ...]
-    rhs: tuple[float, ...]
-    lower_bounds: tuple[float, ...]
+    rhs: np.ndarray
+    lower_bounds: np.ndarray
     maximize: bool
 
     def __init__(
         self,
-        objective: Iterable[float],
-        lhs: Iterable[Iterable[float]],
+        objective: Sequence[float],
+        lhs: Sequence[Sequence[float]],
         senses: Iterable[str],
-        rhs: Iterable[float],
-        lower_bounds: Iterable[float] | None = None,
+        rhs: Sequence[float],
+        lower_bounds: Sequence[float] | None = None,
         maximize: bool = False,
     ):
-        c = tuple(float(v) for v in objective)
-        a = tuple(tuple(float(v) for v in row) for row in lhs)
+        c = np.array(objective, dtype=float)
+        a = np.array(lhs, dtype=float)
+        if a.size == 0 and a.ndim < 2:
+            a = a.reshape(0, c.size)
         s = tuple(senses)
-        b = tuple(float(v) for v in rhs)
-        lb = tuple(float(v) for v in lower_bounds) if lower_bounds is not None else (0.0,) * len(c)
-        if len(a) != len(s) or len(a) != len(b):
+        b = np.array(rhs, dtype=float)
+        lb = np.zeros(c.size) if lower_bounds is None else np.array(lower_bounds, dtype=float)
+        if c.ndim != 1 or a.ndim != 2 or a.shape[1] != c.size:
+            raise ValueError("constraint row length differs from objective length")
+        if a.shape[0] != len(s) or b.shape != (len(s),):
             raise ValueError("constraint matrix, senses and rhs must have matching row counts")
-        for row in a:
-            if len(row) != len(c):
-                raise ValueError("constraint row length differs from objective length")
         for sense in s:
             if sense not in SENSES:
                 raise ValueError(f"unknown sense {sense!r}; expected one of {SENSES}")
-        if len(lb) != len(c):
+        if lb.shape != c.shape:
             raise ValueError("lower bound vector length differs from objective length")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "lhs", a)
+        for name, values in (("objective", c), ("lhs", a), ("rhs", b), ("lower_bounds", lb)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} coefficients must be finite")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "senses", s)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "lower_bounds", lb)
-        object.__setattr__(self, "maximize", maximize)
+        object.__setattr__(self, "maximize", bool(maximize))
 
     @property
     def n_vars(self) -> int:
-        return len(self.objective)
+        return self.objective.size
 
     @property
     def n_rows(self) -> int:
-        return len(self.rhs)
+        return self.rhs.size
 
 
 @dataclass(frozen=True)
@@ -180,6 +205,11 @@ class _Unbounded(Exception):
         self.iterations = iterations
 
 
+def _exponents(peaks: np.ndarray) -> np.ndarray:
+    """Powers of two that bring each nonzero peak into [1, 2); zero peaks get 0."""
+    return np.where(peaks > 0.0, 1 - np.frexp(peaks)[1], 0)
+
+
 def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> SimplexResult:
     """Solve a linear program; deterministic for identical inputs.
 
@@ -191,77 +221,70 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
     """
     n = lp.n_vars
     m = lp.n_rows
-    lb = np.asarray(lp.lower_bounds, dtype=float)
-    a = np.asarray(lp.lhs, dtype=float).reshape(m, n)
-    b = np.asarray(lp.rhs, dtype=float) - (a @ lb if m else 0.0)
-    c = np.asarray(lp.objective, dtype=float)
-    if lp.maximize:
-        c = -c
-    senses = list(lp.senses)
-
-    # orient rows so every rhs is nonnegative
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = -a[i]
-            b[i] = -b[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    n_slack = sum(1 for s in senses if s != "=")
-    n_art = sum(1 for s in senses if s != "<=")
+    b = lp.rhs - lp.lhs @ lp.lower_bounds
+    # -1, 0, +1 for <=, =, >=, after orienting every rhs to be nonnegative
+    sign = np.array([SENSES.index(s) - 1 for s in lp.senses], dtype=int)
+    flip = b < 0
+    sign[flip] = -sign[flip]
+    slack_rows = (sign != 0).nonzero()[0]
+    art_rows = (sign >= 0).nonzero()[0]
+    n_slack, n_art = slack_rows.size, art_rows.size
     total = n + n_slack + n_art
     cap = max_iterations if max_iterations is not None else 10 * (m + total) ** 2
 
     tableau = np.zeros((m + 1, total + 1))
     work = np.empty_like(tableau)
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    basis: list[int] = [-1] * m
-    slack_at = n
-    art_at = n + n_slack
-    for i, sense in enumerate(senses):
-        if sense == "<=":
-            tableau[i, slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif sense == ">=":
-            tableau[i, slack_at] = -1.0
-            slack_at += 1
-            tableau[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
-        else:
-            tableau[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
+    body = tableau[:m, :n]
+    body[...] = lp.lhs
+    # power-of-two scaling of the rows, then the columns (module docstring)
+    peaks = np.abs(body)
+    weight_exp = _exponents(peaks.max(axis=1, initial=0.0))
+    peaks[:, (peaks > 0.0).sum(axis=0) == 1] = 0.0
+    row_exp = _exponents(peaks.max(axis=1, initial=0.0))
+    weight_exp -= row_exp
+    np.ldexp(body, row_exp[:, None], out=body)
+    col_exp = _exponents(np.abs(body, out=peaks).max(axis=0, initial=0.0))
+    np.ldexp(body, col_exp, out=body)
+    body[flip] = -body[flip]
+    tableau[:m, -1] = np.ldexp(np.where(flip, -b, b), row_exp)
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
+    tableau[slack_rows, slack_cols] = -sign[slack_rows]
+    tableau[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
+    basis = basis.tolist()
 
     iterations = 0
     if n_art:
-        # phase one: drive the artificial variables to zero
-        tableau[-1, :] = 0.0
-        tableau[-1, n + n_slack : total] = 1.0
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                tableau[-1] -= tableau[i]
+        # phase one: drive the artificial variables, each relative to its
+        # row's largest entry, to zero
+        tableau[-1, n + n_slack : total] = np.ldexp(1.0, weight_exp[art_rows])
+        for i in art_rows.tolist():
+            tableau[-1] -= np.ldexp(tableau[i], weight_exp[i])
+        start = -tableau[-1, -1]
         try:
             iterations = _run_phase(tableau, basis, total, cap, iterations, work)
         except _Unbounded as exc:
             raise SolverError(
                 "phase one reported an unbounded objective; the tableau is numerically corrupt"
             ) from exc
-        if tableau[-1, -1] < -1e-7:
+        if start > 0.0 and tableau[-1, -1] < -PHASE_ONE_TOL * start:
             return SimplexResult("infeasible", None, None, iterations)
         # pivot remaining artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= n + n_slack:
-                for j in range(n + n_slack):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        _pivot(tableau, basis, i, j, work)
-                        iterations += 1
-                        break
+                hits = (np.abs(tableau[i, : n + n_slack]) > PIVOT_TOL).nonzero()[0]
+                if hits.size:
+                    _pivot(tableau, basis, i, int(hits[0]), work)
+                    iterations += 1
 
-    # phase two over the original objective, artificial columns excluded
+    # phase two over the scaled objective, artificial columns excluded
+    c = np.ldexp(lp.objective, col_exp)
+    c = np.ldexp(c, _exponents(np.abs(c).max(initial=0.0)))
     tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
+    tableau[-1, :n] = -c if lp.maximize else c
     for i in range(m):
         if basis[i] < n + n_slack and tableau[-1, basis[i]] != 0.0:
             tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
@@ -271,14 +294,8 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
         return SimplexResult("unbounded", None, None, exc.iterations)
 
     x = np.zeros(total)
-    for i, var in enumerate(basis):
-        if 0 <= var < total:
-            x[var] = tableau[i, -1]
-    solution = x[:n] + lb
-    objective = float(np.asarray(lp.objective) @ solution)
+    x[basis] = tableau[:m, -1]
+    solution = np.ldexp(x[:n], col_exp) + lp.lower_bounds
     return SimplexResult(
-        "optimal",
-        objective,
-        tuple(float(v) for v in solution),
-        iterations,
+        "optimal", float(lp.objective @ solution), tuple(solution.tolist()), iterations
     )

@@ -253,6 +253,12 @@ class TestLinearSetUtility:
         with pytest.raises(ValueError):
             SetUtility(frame, {("a",): 1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_utility(self, value):
+        frame = Frame(["a", "b"])
+        with pytest.raises(ValueError, match="finite"):
+            SetUtility(frame, {("a",): 1.0, ("b",): value, ("a", "b"): 2.0})
+
 
 class TestJaffray:
     def test_constant_index_is_blended_criterion(self, lotteries):

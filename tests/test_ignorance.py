@@ -138,6 +138,13 @@ class TestOwaWeights:
         with pytest.raises(ValueError):
             OwaWeights((0.5, 0.6))
 
+    @pytest.mark.parametrize(
+        "weights", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 0.0)]
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            OwaWeights(weights)
+
     def test_aggregate_reference_value(self):
         weights = OwaWeights((0.0819, 0.2362, 0.6819))
         assert owa_aggregate((37, 25, 23), weights) == pytest.approx(24.62, abs=TABLE_TOL)

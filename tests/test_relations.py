@@ -206,6 +206,11 @@ class TestRealMass:
         with pytest.raises(InvalidMassError, match="not a number"):
             RealMass([((1.0, 2.0), value)])
 
+    @pytest.mark.parametrize("focal", [(float("nan"), 1.0), (float("inf"),), (-float("inf"), 0.0)])
+    def test_rejects_non_finite_focal_values(self, focal):
+        with pytest.raises(InvalidMassError, match="non-finite"):
+            RealMass([(focal, 1.0)])
+
 
 class TestCredalOrders:
     def test_bayesian_reduces_to_stochastic_dominance(self):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from beliefdecision import Frame, Gamble, LinearProgram, MassFunction, simplex_solve
 from beliefdecision import simplex
+from beliefdecision.core import iter_elements
 from beliefdecision.errors import SolverError
 from beliefdecision.previsions import build_e_admissibility_lp
 from beliefdecision.simplex import PIVOT_TOL
+from conftest import MASS_ASSIGNMENT, STATES, UTILITY_ROWS
 
 
 def loop_entering(cost_row, allowed):
@@ -191,3 +193,200 @@ class TestAgainstTheLoops:
         )
         kind, message = assert_same(lp, max_iterations=1)
         assert kind == "SolverError" and "iteration cap" in message
+
+
+# -- the programs: index-filled arrays against the per-cell loop ---------------
+
+
+def loop_build_e_admissibility_lp(gambles, m, i):
+    """The per-cell list builder that the index-filled arrays replaced."""
+    n = len(gambles)
+    s = m.frame.size
+    focal = list(m.items())
+    layout = [(k, j) for j, (a, _) in enumerate(focal) for k in iter_elements(a)]
+    n_alloc = len(layout)
+    others = [l for l in range(n) if l != i]
+    n_vars = n_alloc + s + len(others)
+    rows, senses, rhs = [], [], []
+    for j, (_, mass) in enumerate(focal):
+        row = [0.0] * n_vars
+        for pos, (k, jj) in enumerate(layout):
+            if jj == j:
+                row[pos] = 1.0
+        rows.append(row)
+        senses.append("=")
+        rhs.append(mass)
+    for k in range(s):
+        row = [0.0] * n_vars
+        for pos, (kk, _) in enumerate(layout):
+            if kk == k:
+                row[pos] = -1.0
+        row[n_alloc + k] = 1.0
+        rows.append(row)
+        senses.append("=")
+        rhs.append(0.0)
+    for slot, l in enumerate(others):
+        row = [0.0] * n_vars
+        for k in range(s):
+            row[n_alloc + k] = gambles[i].payoffs[k] - gambles[l].payoffs[k]
+        row[n_alloc + s + slot] = 1.0
+        rows.append(row)
+        senses.append(">=")
+        rhs.append(0.0)
+    objective = [0.0] * n_vars
+    for slot in range(len(others)):
+        objective[n_alloc + s + slot] = 1.0
+    return LinearProgram(objective, rows, senses, rhs)
+
+
+# signed zeros, ties and extreme magnitudes among the payoffs
+PAYOFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, -1e300, 1e300])
+
+
+@st.composite
+def masses(draw, size):
+    """A mass function on a frame of ``size`` states with rational masses."""
+    frame = Frame([f"s{k}" for k in range(size)])
+    subsets = draw(
+        st.lists(st.integers(min_value=1, max_value=frame.full_set),
+                 min_size=1, max_size=min(6, frame.full_set), unique=True)
+    )
+    weights = draw(st.lists(st.integers(min_value=1, max_value=5),
+                            min_size=len(subsets), max_size=len(subsets)))
+    return MassFunction(frame, {a: w / sum(weights) for a, w in zip(subsets, weights)})
+
+
+@st.composite
+def gamble_sets(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    m = draw(masses(size))
+    n = draw(st.integers(min_value=2, max_value=6))
+    rows = draw(st.lists(st.lists(PAYOFFS, min_size=size, max_size=size),
+                         min_size=n, max_size=n))
+    return [Gamble(m.frame, row) for row in rows], m, draw(st.integers(0, n - 1))
+
+
+class TestProgramArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(gamble_sets())
+    def test_built_programs_are_bit_identical(self, case):
+        mine, reference = build_e_admissibility_lp(*case), loop_build_e_admissibility_lp(*case)
+        for field in ("objective", "lhs", "rhs", "lower_bounds"):
+            got, want = getattr(mine, field), getattr(reference, field)
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape
+            # tobytes tells -0.0 from 0.0
+            assert got.tobytes() == want.tobytes()
+        assert mine.senses == reference.senses
+        assert mine.maximize is reference.maximize is False
+
+    def test_two_gambles_on_one_state(self):
+        frame = Frame(["only"])
+        m = MassFunction(frame, {("only",): 1.0})
+        case = ([Gamble(frame, [-0.0]), Gamble(frame, [0.0])], m, 0)
+        mine, reference = build_e_admissibility_lp(*case), loop_build_e_admissibility_lp(*case)
+        assert mine.lhs.shape == (3, 3)
+        assert mine.lhs.tobytes() == reference.lhs.tobytes()
+
+    def test_fields_are_read_only_arrays(self):
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], ["<="], [4.0], lower_bounds=[0.5, 0.0])
+        for field in ("objective", "rhs", "lower_bounds"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(lp, field)[0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            lp.lhs[0, 0] = 9.0
+        assert lp.lower_bounds.tolist() == [0.5, 0.0]
+
+    def test_inputs_are_copied(self):
+        lhs = np.array([[1.0, 1.0]])
+        lp = LinearProgram([1.0, 2.0], lhs, ["<="], [4.0])
+        lhs[0, 0] = 9.0
+        assert lp.lhs.tolist() == [[1.0, 1.0]]
+
+    def test_no_rows_keeps_two_dimensions(self):
+        lp = LinearProgram([1.0, -1.0, 0.0], [], [], [])
+        assert lp.lhs.shape == (0, 3)
+        assert (lp.n_rows, lp.n_vars) == (0, 3)
+
+    def test_equal_only_to_itself(self):
+        lp = LinearProgram([1.0], [[1.0]], ["<="], [3.0])
+        assert lp == lp
+        assert lp != LinearProgram([1.0], [[1.0]], ["<="], [3.0])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("objective", float("nan")), ("lhs", float("inf")), ("rhs", float("nan")),
+         ("rhs", float("-inf")), ("lower_bounds", float("nan"))],
+    )
+    def test_rejects_non_finite_coefficients(self, field, value):
+        args = {"objective": [1.0], "lhs": [[1.0]], "rhs": [1.0], "lower_bounds": [0.0]}
+        args[field] = [[value]] if field == "lhs" else [value]
+        with pytest.raises(ValueError, match="finite"):
+            LinearProgram(args["objective"], args["lhs"], ["<="], args["rhs"],
+                          lower_bounds=args["lower_bounds"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([1.0, 1.0], [[1.0]], ["<="], [1.0]),
+            ([1.0], [[1.0], [1.0]], ["<="], [1.0]),
+            ([1.0], [[1.0]], ["<="], [1.0, 2.0]),
+            ([1.0], [[1.0]], ["<"], [1.0]),
+        ],
+    )
+    def test_rejects_mismatched_shapes_and_senses(self, args):
+        with pytest.raises(ValueError):
+            LinearProgram(*args)
+
+
+# -- raw units: the solver itself against scipy's HiGHS ------------------------
+
+
+def highs(lp):
+    """scipy's HiGHS on an e-admissibility program: (status, objective)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    eq = np.array([sense == "=" for sense in lp.senses])
+    # the other rows are >=, negated into A_ub x <= b_ub
+    result = linprog(lp.objective, A_ub=-lp.lhs[~eq], b_ub=-lp.rhs[~eq],
+                     A_eq=lp.lhs[eq], b_eq=lp.rhs[eq], method="highs")
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[result.status], result.fun
+
+
+@st.composite
+def raw_unit_programs(draw):
+    """An e-admissibility program on integer payoffs, in units of 1e-8 to 1e9."""
+    size = draw(st.integers(min_value=2, max_value=4))
+    m = draw(masses(size))
+    n = draw(st.integers(min_value=2, max_value=7))
+    rows = draw(st.lists(st.lists(st.integers(min_value=-100, max_value=100),
+                                  min_size=size, max_size=size),
+                         min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    scale = 10.0 ** draw(st.integers(min_value=-8, max_value=9))
+    raw = build_e_admissibility_lp([Gamble(m.frame, [v * scale for v in r]) for r in rows], m, i)
+    unit = build_e_admissibility_lp([Gamble(m.frame, r) for r in rows], m, i)
+    return raw, unit, scale
+
+
+class TestRawUnits:
+    @settings(max_examples=600, deadline=None)
+    @given(raw_unit_programs())
+    def test_e_admissibility_programs_match_highs(self, case):
+        # the slacks, and so the optimum, scale with the units; HiGHS is
+        # asked in integer units, where its absolute tolerances are small
+        raw, unit, scale = case
+        mine = simplex_solve(raw)
+        status, objective = highs(unit)
+        assert mine.status == status == "optimal"
+        assert mine.objective == pytest.approx(scale * objective, rel=1e-6, abs=1e-9 * scale)
+
+    def test_readme_demo_in_billions(self):
+        frame = Frame(STATES)
+        m = MassFunction(frame, MASS_ASSIGNMENT)
+        gambles = [Gamble(frame, [v * 1e9 for v in row]) for row in UTILITY_ROWS]
+        lp = build_e_admissibility_lp(gambles, m, 1)
+        result = simplex_solve(lp)
+        # f2 is e-admissible: its slack total is zero
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(0.0, abs=1e-8 * 95e9)
+        assert highs(lp)[0] == "optimal"
