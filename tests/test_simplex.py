@@ -390,3 +390,49 @@ class TestRawUnits:
         assert result.status == "optimal"
         assert result.objective == pytest.approx(0.0, abs=1e-8 * 95e9)
         assert highs(lp)[0] == "optimal"
+
+
+# -- phase one judges each artificial by its own row; solutions are checked ----
+
+
+class TestPhaseOne:
+    @pytest.mark.parametrize(
+        "lp, status",
+        [
+            # a large rhs in one row must not hide the violated y = 2
+            (LinearProgram([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                           [">=", "=", "="], [1e9, 1.0, 2.0]), "infeasible"),
+            (LinearProgram([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                           [">=", "=", "="], [1e9, 1.0, 1.0]), "optimal"),
+            # a large coefficient must not hide the violated -1e9 x + y = 1
+            (LinearProgram([0.0, 0.0], [[-1e9, 1.0], [0.0, 1.0]], ["=", "<="], [1.0, 0.0]),
+             "infeasible"),
+            (LinearProgram([0.0, 0.0], [[-1e9, 1.0], [0.0, 1.0]], ["=", "<="], [1.0, 2.0]),
+             "optimal"),
+            (LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [3e9, 1e9]),
+             "optimal"),
+            # every column single: the first weights leave the artificial
+            # below the pivot tolerance, the second pass reaches x4 = 3
+            (LinearProgram([0.0] * 4, [[-1.0, -3e9, -2.0, 1.0]], ["="], [3.0]), "optimal"),
+        ],
+    )
+    def test_fixed_programs(self, lp, status):
+        result = simplex_solve(lp)
+        assert result.status == status
+        if status == "optimal":
+            x = np.array(result.x)
+            residual = lp.lhs @ x - lp.rhs
+            scale = np.maximum(np.abs(lp.rhs), 1.0)
+            for sense, r, s in zip(lp.senses, residual, scale):
+                bound = 1e-9 * s
+                assert {"<=": r <= bound, "=": abs(r) <= bound, ">=": r >= -bound}[sense]
+
+    def test_a_degraded_tableau_raises(self):
+        # scaling the last row by 2^-31 leaves x4's coefficient below the
+        # pivot tolerance; the run ends at x = (0, 0, 0, 2), which breaks
+        # the first row by 2e6, and the solver says so
+        lp = LinearProgram([1.0, 1.0, -2.0, 1.0],
+                           [[0.0, 1.0, 1e3, -2.0], [1.0, 1.0, -1.0, -2.0], [-3.0, 0.0, -3e9, 1.0]],
+                           ["<=", "<=", "="], [-2e6, 0.0, 2.0])
+        with pytest.raises(SolverError, match="breaks a constraint"):
+            simplex_solve(lp)
