@@ -11,6 +11,7 @@ timestamps. Exit codes: 0 success, 1 usage error, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from bisect import bisect_left, bisect_right
@@ -461,6 +462,7 @@ def cmd_transform(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parsing leaves it as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="beliefdec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -472,7 +474,8 @@ def build_parser() -> _Parser:
         "--tolerance",
         type=float,
         default=1e-8,
-        help="tolerance of the e-admissibility verdict, as a fraction of the utility range",
+        help="e-admissibility tolerance: how much all other acts together may beat an act "
+        "by at its witness (often a credal vertex), as a fraction of the utility range",
     )
     problem_common = argparse.ArgumentParser(add_help=False)
     problem_common.add_argument("problem", help="problem file path, or - for stdin")

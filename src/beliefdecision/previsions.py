@@ -5,7 +5,7 @@ induces lower/upper previsions (expectations bounds over the set of
 compatible probabilities); on top of these sit the maximality relation
 (nonnegative lower prevision of the difference) and e-admissibility
 (some single compatible probability makes the gamble a best response),
-the latter decided by a linear program in allocation variables.
+the latter decided by linear programs in allocation variables.
 """
 
 from __future__ import annotations
@@ -158,9 +158,12 @@ def e_admissible(
 
     Returns the verdict and, when admissible, the witnessing
     probability vector over the states. The verdict does not depend on
-    the units of the utilities: the program is built on the gambles
-    mapped onto [0, 1] by one common affine map, so ``tol`` is a
-    fraction of the utility range (largest payoff minus smallest).
+    the units of the utilities: the programs are built on the gambles
+    mapped onto [0, 1] by one common affine map. ``tol`` bounds the
+    slack total at the witness, the sum over all n-1 competitors of how
+    far each beats gamble ``i``, as a fraction of the utility range
+    (largest payoff minus smallest). The witness is the first point
+    found that meets it, often a vertex of the credal set.
     Raises ``ValueError`` when that range overflows to infinity. Solver
     failures raise :class:`SolverError`; they are never reported as
     inadmissibility.
@@ -171,7 +174,8 @@ def e_admissible(
         raise IndexError(f"gamble index {i} out of range")
     for g in gambles:
         m._check_frame(g.frame)
-    return _decide(_unit_range(gambles), m, i, tol)
+    unit = _unit_range(gambles)
+    return _decide(unit, np.array([g.values for g in unit]), m, i, tol)
 
 
 def _unit_range(gambles: Sequence[Gamble]) -> Sequence[Gamble]:
@@ -191,24 +195,50 @@ def _unit_range(gambles: Sequence[Gamble]) -> Sequence[Gamble]:
     return [Gamble(frame, row) for row in ((payoffs - lo) / span).tolist()]
 
 
+def _slack_totals(values: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Per i in ``rows``, the full program's objective at the point where the
+    gambles' expectations are ``values``: the sum over l of max(0, values[l] - values[i])."""
+    return np.maximum(values[None, :] - values[list(rows), None], 0.0).sum(axis=1)
+
+
 def _decide(
-    unit: Sequence[Gamble], m: MassFunction, i: int, tol: float
+    unit: Sequence[Gamble], payoffs: np.ndarray, m: MassFunction, i: int, tol: float
 ) -> tuple[bool, tuple[float, ...] | None]:
-    """The verdict and witness for gamble ``i`` of gambles already on [0, 1]."""
-    if len(unit) == 1:
-        return True, _any_compatible_probability(m)
-    lp = build_e_admissibility_lp(unit, m, i)
-    result = simplex_solve(lp)
-    if result.status != "optimal":
-        raise SolverError(
-            f"e-admissibility program ended with status {result.status!r}; "
-            "this program is feasible and bounded by construction"
-        )
-    if result.objective > tol:
-        return False, None
+    """The verdict and witness for gamble ``i`` of gambles already on [0, 1].
+
+    Row generation: accept at the first point where the full program's
+    objective is at most ``tol``, trying one compatible probability, one
+    credal vertex, then the witnesses of programs over the competitors
+    met so far. One above ``tol`` rejects (more rows cannot lower it);
+    else the competitor ahead by most there (lowest index on ties) joins.
+    """
+    p = _any_compatible_probability(m)
+    rival = int(np.where(np.arange(len(unit)) == i, -math.inf, payoffs @ p).argmax())
+    # each focal mass on its state where gamble i gains most on its rival at p
+    gain = payoffs[i] - payoffs[rival]
+    vertex = [0.0] * m.frame.size
+    for a, v in m.items():
+        vertex[max(iter_elements(a), key=lambda k: (gain[k], -k))] += v
+    for point in (p, tuple(vertex)):
+        if _slack_totals(payoffs @ point, [i])[0] <= tol:
+            return True, point
     n_alloc = len(_allocation_layout(m))
-    witness = tuple(result.x[n_alloc : n_alloc + m.frame.size])
-    return True, witness
+    rows = sorted([i, rival])
+    while True:
+        result = simplex_solve(build_e_admissibility_lp([unit[r] for r in rows], m, rows.index(i)))
+        if result.status != "optimal":
+            raise SolverError(
+                f"e-admissibility program ended with status {result.status!r}; "
+                "this program is feasible and bounded by construction"
+            )
+        if result.objective > tol:
+            return False, None
+        witness = tuple(result.x[n_alloc : n_alloc + m.frame.size])
+        values = payoffs @ witness
+        if len(rows) == len(unit) or _slack_totals(values, [i])[0] <= tol:
+            return True, witness
+        values[rows] = -math.inf
+        rows = sorted([*rows, int(values.argmax())])
 
 
 def _any_compatible_probability(m: MassFunction) -> tuple[float, ...]:
@@ -225,20 +255,26 @@ def e_admissible_set(
     """Indices of e-admissible gambles plus a witness per member.
 
     Screens with the maximality choice set first (e-admissibility
-    implies maximality), then solves one program per surviving gamble,
-    all on the gambles mapped onto [0, 1] once, as in
-    :func:`e_admissible`; ``tol`` is a fraction of the utility range.
+    implies maximality), then decides each survivor as
+    :func:`e_admissible` does, with the same ``tol``. A witness found
+    also accepts every later survivor whose slack total there is at most
+    ``tol``, so members often share a witness.
     """
     _, _, candidates = maximality_relation(gambles, m)
     unit = _unit_range(gambles)
-    chosen: list[int] = []
+    payoffs = np.array([g.values for g in unit])
     witnesses: dict[int, tuple[float, ...]] = {}
-    for i in candidates:
-        verdict, witness = _decide(unit, m, i, tol)
+    for k, i in enumerate(candidates):
+        if i in witnesses:
+            continue
+        verdict, witness = _decide(unit, payoffs, m, i, tol)
         if verdict:
-            chosen.append(i)
             witnesses[i] = witness
-    return chosen, witnesses
+            later = [j for j in candidates[k + 1 :] if j not in witnesses]
+            for j, total in zip(later, _slack_totals(payoffs @ witness, later)):
+                if total <= tol:
+                    witnesses[j] = witness
+    return sorted(witnesses), dict(sorted(witnesses.items()))
 
 
 def e_admissibility_lp_text(gambles: Sequence[Gamble], m: MassFunction, i: int) -> str:

@@ -590,3 +590,15 @@ class TestStdin:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PROBLEM_DOC)))
         assert main(["rank", "-", "--criterion", "maximin"]) == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("f1  23")
+
+
+class TestParserReuse:
+    def test_usage_error_between_two_calls_changes_nothing(self, problem_file, capsys):
+        argv = ["choice", problem_file, "--rule", "e-admissibility", "--format", "json"]
+        first = (main(argv), *capsys.readouterr())
+        # parses --tolerance and --format before it fails on the unknown flag
+        bad = ["choice", problem_file, "--rule", "maximality", "--tolerance", "0.5",
+               "--format", "csv", "--no-such-flag"]
+        assert main(bad) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert (main(argv), *capsys.readouterr()) == first

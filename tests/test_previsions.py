@@ -1,5 +1,6 @@
 """Lower previsions, maximality, e-admissibility and the simplex solver."""
 
+import functools
 import math
 import random
 
@@ -25,7 +26,11 @@ from beliefdecision import (
     upper_prevision,
 )
 from beliefdecision.core import iter_elements
-from beliefdecision.previsions import build_e_admissibility_lp, e_admissibility_lp_text
+from beliefdecision.previsions import (
+    _unit_range,
+    build_e_admissibility_lp,
+    e_admissibility_lp_text,
+)
 from beliefdecision.simplex import lp_text
 from conftest import UTILITY_ROWS, random_bayesian, random_frame, random_mass
 
@@ -548,3 +553,131 @@ def _assert_witness_valid(witness, m, gambles, i, tol=1e-8):
     e_i = gambles[i].expectation(witness)
     for g in gambles:
         assert e_i >= g.expectation(witness) - tol
+
+
+def full_program_verdict(unit, m, i, tol=1e-8):
+    """The verdict of gamble i's program over every competitor."""
+    if len(unit) == 1:
+        return True
+    result = simplex_solve(build_e_admissibility_lp(unit, m, i))
+    assert result.status == "optimal"
+    return result.objective <= tol
+
+
+def reference_e_admissible_set(gambles, m, tol=1e-8):
+    """One full program per maximality survivor, as before row generation."""
+    _, _, candidates = maximality_relation(gambles, m)
+    unit = _unit_range(gambles)
+    return [i for i in candidates if full_program_verdict(unit, m, i, tol)]
+
+
+def full_objective(gambles, witness, i):
+    """Sum over every competitor of how far it beats gamble i at the witness, on [0, 1]."""
+    values = [g.expectation(witness) for g in _unit_range(gambles)]
+    return math.fsum(max(0.0, v - values[i]) for l, v in enumerate(values) if l != i)
+
+
+@st.composite
+def generation_problems(draw):
+    size = draw(st.integers(min_value=2, max_value=4))
+    frame = Frame([f"s{i}" for i in range(size)])
+    subsets = draw(
+        st.lists(st.integers(min_value=1, max_value=frame.full_set),
+                 min_size=1, max_size=min(6, frame.full_set), unique=True)
+    )
+    weights = draw(st.lists(st.integers(min_value=1, max_value=9),
+                            min_size=len(subsets), max_size=len(subsets)))
+    m = MassFunction(frame, {a: w / sum(weights) for a, w in zip(subsets, weights)})
+    # few payoff values, so ties are common; zeros come with either sign
+    payoff = st.integers(min_value=-6, max_value=6).flatmap(
+        lambda v: st.sampled_from((0.0, -0.0)) if v == 0 else st.just(float(v))
+    )
+    n = draw(st.integers(min_value=1, max_value=12))
+    rows = draw(st.lists(st.lists(payoff, min_size=size, max_size=size),
+                         min_size=n, max_size=n))
+    unit = 10.0 ** draw(st.integers(min_value=-8, max_value=9))
+    return frame, m, rows, unit
+
+
+class TestRowGeneration:
+    @settings(max_examples=150, deadline=None)
+    @given(generation_problems())
+    def test_same_choice_sets_as_the_full_programs(self, problem):
+        frame, m, rows, unit = problem
+        integral = [Gamble(frame, row) for row in rows]
+        gambles = [Gamble(frame, [v * unit for v in row]) for row in rows]
+        chosen, witnesses = e_admissible_set(gambles, m)
+        assert chosen == reference_e_admissible_set(gambles, m)
+        assert set(witnesses) == set(chosen)
+        for i in chosen:
+            _assert_witness_valid(witnesses[i], m, integral, i)
+            assert full_objective(gambles, witnesses[i], i) <= 1e-8
+        scaled = _unit_range(gambles)
+        for i in range(len(gambles)):
+            verdict, witness = e_admissible(gambles, m, i)
+            assert verdict == full_program_verdict(scaled, m, i)
+            if verdict:
+                _assert_witness_valid(witness, m, integral, i)
+                assert full_objective(gambles, witness, i) <= 1e-8
+
+    def test_tol_bounds_the_slack_total_not_the_largest_gap(self):
+        # f1 trails each of the other three acts by 0.05 of the utility
+        # range at the only compatible probability: 0.15 in all
+        frame = Frame(["w1", "w2"])
+        m = MassFunction.bayesian(frame, [0.5, 0.5])
+        rows = ((0.0, 9.0), (0.0, 10.0), (10.0, 0.0), (5.0, 5.0))
+        gambles = [Gamble(frame, row) for row in rows]
+        assert e_admissible(gambles, m, 0, tol=0.1) == (False, None)
+        verdict, witness = e_admissible(gambles, m, 0, tol=0.16)
+        assert verdict and witness == pytest.approx((0.5, 0.5))
+
+
+def hundred_act_problem(seed):
+    rng = random.Random(seed)
+    frame = Frame([f"s{j}" for j in range(8)])
+    masks = sorted(rng.sample(range(1, 256), 13))
+    weights = [rng.randint(1, 100) for _ in masks]
+    m = MassFunction(frame, {a: w / sum(weights) for a, w in zip(masks, weights)})
+    gambles = [Gamble(frame, [rng.randint(0, 100) for _ in range(8)]) for _ in range(100)]
+    return m, gambles
+
+
+def highs_verdict(unit, m, i):
+    """Gamble i's full program solved by HiGHS, objective at most 1e-8."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lp = build_e_admissibility_lp(unit, m, i)
+    eq = [sense == "=" for sense in lp.senses]
+    ineq = [not e for e in eq]
+    result = linprog(lp.objective, A_ub=-lp.lhs[ineq], b_ub=-lp.rhs[ineq],
+                     A_eq=lp.lhs[eq], b_eq=lp.rhs[eq], method="highs")
+    assert result.status == 0
+    return result.fun <= 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def highs_choice_set(seed):
+    m, gambles = hundred_act_problem(seed)
+    unit = _unit_range(gambles)
+    _, _, candidates = maximality_relation(gambles, m)
+    return [i for i in candidates if highs_verdict(unit, m, i)]
+
+
+class TestHundredActs:
+    # 100 acts x 8 states x 13 focal sets; the full programs of the four
+    # candidates below broke a constraint in the simplex and raised
+    # SolverError, as did e_admissible_set on both problems
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_choice_set_is_highs(self, seed):
+        m, gambles = hundred_act_problem(seed)
+        chosen, witnesses = e_admissible_set(gambles, m)
+        assert chosen == highs_choice_set(seed)
+        for i in chosen:
+            _assert_witness_valid(witnesses[i], m, gambles, i)
+
+    @pytest.mark.parametrize("seed, i", [(1, 40), (1, 65), (2, 53), (2, 81)])
+    def test_verdict_is_highs(self, seed, i):
+        m, gambles = hundred_act_problem(seed)
+        verdict, witness = e_admissible(gambles, m, i)
+        assert verdict == highs_verdict(_unit_range(gambles), m, i)
+        if verdict:
+            _assert_witness_valid(witness, m, gambles, i)
