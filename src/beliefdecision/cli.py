@@ -5,7 +5,9 @@ Commands: ``rank`` (complete criteria), ``choice`` (choice-set rules),
 ``transform`` (probability transforms of a mass file). Output is
 deterministic: acts keep file order, ties break by file order, no
 timestamps. Exit codes: 0 success, 1 usage error, 2 validation error,
-3 solver failure.
+3 solver failure. Input files are read and checked in
+:mod:`beliefdecision.problems`; this module parses arguments, dispatches
+and formats output.
 """
 
 from __future__ import annotations
@@ -18,20 +20,26 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
 from . import __version__
-from .core import Frame, MassFunction, pignistic, plausibility_transform
-from .criteria import LocalPessimismIndex, generalized_minimax_regret, hurwicz_blend
-from .errors import BeliefDecisionError, FrameMismatchError, SolverError, ValidationError
-from .goals import GoalSystem, classification_scores, deterministic_score, expected_score, goal_audit
-from .ignorance import (
-    OwaWeights,
-    max_entropy_owa_weights,
-    minimax_regret,
-    owa_aggregate,
-    prune_dominated,
-    score_ignorance,
+from .core import MassFunction, pignistic, plausibility_transform
+from .criteria import (
+    LocalPessimismIndex,
+    _owa_weights_cached,
+    generalized_minimax_regret,
+    hurwicz_blend,
 )
+from .errors import BeliefDecisionError, SolverError, ValidationError
+from .goals import classification_scores, deterministic_score, expected_score, goal_audit
+from .ignorance import OwaWeights, minimax_regret, owa_aggregate, prune_dominated, score_ignorance
 from .previsions import e_admissible_set, maximality_relation
-from .problems import DecisionProblem, parse_mass, parse_number, parse_problem_dict
+from .problems import (
+    DecisionProblem,
+    parse_classification_file,
+    parse_goal_file,
+    parse_index_file,
+    parse_mass_file,
+    parse_problem_dict,
+    read_json,
+)
 from .relations import (
     interval_bound_dominance,
     interval_dominance_choice,
@@ -75,23 +83,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _load_json(path: str) -> Any:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path!r}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-
-
 def _load_problem(path: str) -> DecisionProblem:
-    return parse_problem_dict(_load_json(path))
+    return parse_problem_dict(read_json(path))
 
 
 def _ranks(scores: Sequence[float], *, lower_better: bool = False) -> list[int]:
@@ -148,31 +141,7 @@ def _rank_scores(problem: DecisionProblem, args) -> tuple[list[float], bool]:
 
 def _jaffray_index(problem: DecisionProblem, args) -> LocalPessimismIndex:
     if args.index_file is not None:
-        doc = _load_json(args.index_file)
-        if not isinstance(doc, list):
-            raise ValidationError("index file must be a JSON list of pair entries")
-        if problem.consequences is None:
-            raise ValidationError(
-                "a pessimism-index table needs declared consequences in the problem file"
-            )
-        row_acts = [n for n, act in zip(problem.act_names, problem.acts) if act is None]
-        if row_acts:
-            raise ValidationError(
-                f"a pessimism-index table needs consequence-mapped acts; {row_acts!r} "
-                "are given as utility rows"
-            )
-        table = {}
-        for pos, entry in enumerate(doc):
-            if not isinstance(entry, dict) or not {"worst", "best", "alpha"} <= set(entry):
-                raise ValidationError(
-                    f"index entry {pos} needs 'worst', 'best' and 'alpha' fields"
-                )
-            alpha = parse_number(entry["alpha"], f"index entry {pos}: 'alpha'")
-            table[(entry["worst"], entry["best"])] = alpha
-        try:
-            return LocalPessimismIndex(table)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        return parse_index_file(read_json(args.index_file), problem)
     if args.alpha is not None:
         return LocalPessimismIndex.constant(args.alpha)
     raise UsageError("criterion 'jaffray' needs --alpha or --index-file")
@@ -180,9 +149,6 @@ def _jaffray_index(problem: DecisionProblem, args) -> LocalPessimismIndex:
 
 def cmd_rank(args) -> int:
     problem = _load_problem(args.problem)
-    if args.emit_normalized:
-        print(json.dumps(problem.to_dict(), indent=2))
-        return 0
     scores, lower_better = _rank_scores(problem, args)
     ranks = _ranks(scores, lower_better=lower_better)
     order = sorted(range(problem.n_acts), key=lambda i: (ranks[i], i))
@@ -212,9 +178,6 @@ def _expectation_bounds(problem: DecisionProblem) -> tuple[list[float], list[flo
 
 def cmd_choice(args) -> int:
     problem = _load_problem(args.problem)
-    if args.emit_normalized:
-        print(json.dumps(problem.to_dict(), indent=2))
-        return 0
     names = problem.act_names
     extra_text: list[str] = []
     extra_json: dict[str, Any] = {}
@@ -274,9 +237,6 @@ def cmd_choice(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem = _load_problem(args.problem)
-    if args.emit_normalized:
-        print(json.dumps(problem.to_dict(), indent=2))
-        return 0
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     if not (0.0 <= args.start <= args.stop <= 1.0):
@@ -300,7 +260,7 @@ def cmd_sweep(args) -> int:
             return list(score_ignorance(matrix, "hurwicz", value))
         if args.criterion == "owa":
             weights = (
-                max_entropy_owa_weights(matrix.n_states, value)
+                _owa_weights_cached(matrix.n_states, value)
                 if matrix.n_states > 1
                 else OwaWeights((1.0,))
             )
@@ -316,69 +276,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_goal_file(doc: Any) -> tuple[GoalSystem, list[tuple[str, Any]]]:
-    if not isinstance(doc, dict):
-        raise ValidationError("goal file must contain a JSON object")
-    if "theta" not in doc or not isinstance(doc["theta"], list) or not doc["theta"]:
-        raise ValidationError("goal file needs a non-empty 'theta' label list")
-    frame = Frame(tuple(doc["theta"]))
-    goals_doc = doc.get("goals")
-    if not isinstance(goals_doc, list) or not goals_doc:
-        raise ValidationError("goal file needs a non-empty 'goals' list")
-    goals, weights = [], []
-    for pos, entry in enumerate(goals_doc):
-        if not isinstance(entry, dict) or "elements" not in entry:
-            raise ValidationError(f"goals[{pos}] must be an object with 'elements'")
-        try:
-            goals.append(frame.subset(entry["elements"]))
-        except FrameMismatchError as exc:
-            raise ValidationError(f"goals[{pos}]: {exc}") from None
-        weights.append(parse_number(entry.get("weight", 1.0), f"goals[{pos}].weight"))
-    try:
-        system = GoalSystem(frame, goals, weights)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-    effects: list[tuple[str, Any]] = []
-    for pos, entry in enumerate(doc.get("acts", [])):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ValidationError(f"acts[{pos}] must be an object with a 'name'")
-        if ("certain" in entry) == ("mass" in entry):
-            raise ValidationError(
-                f"act {entry['name']!r} must give either 'certain' or 'mass'"
-            )
-        if "certain" in entry:
-            try:
-                mask = frame.subset(entry["certain"])
-            except FrameMismatchError as exc:
-                raise ValidationError(f"act {entry['name']!r}: {exc}") from None
-            if mask == 0:
-                raise ValidationError(f"act {entry['name']!r} has an empty certain effect")
-            effects.append((entry["name"], mask))
-        else:
-            effects.append(
-                (entry["name"], parse_mass(entry["mass"], frame, where=f"acts[{pos}].mass"))
-            )
-    return system, effects
-
-
 def cmd_goals(args) -> int:
-    doc = _load_json(args.goalfile)
+    doc = read_json(args.goalfile)
     if args.mode == "classify":
-        if not isinstance(doc, dict) or "classes" not in doc:
-            raise ValidationError("classification needs 'classes', 'mass' and 'weights'")
-        frame = Frame(tuple(doc["classes"]))
-        if "mass" not in doc or "weights" not in doc:
-            raise ValidationError("classification needs 'classes', 'mass' and 'weights'")
-        m = parse_mass(doc["mass"], frame)
-        weights = doc["weights"]
-        if not isinstance(weights, list) or len(weights) != frame.size:
-            raise ValidationError(f"'weights' must list {frame.size} numbers")
-        weights = [parse_number(w, "every weight") for w in weights]
-        try:
-            scores, _, _ = classification_scores(m, weights)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        m, weights = parse_classification_file(doc)
+        frame = m.frame
+        scores, _, _ = classification_scores(m, weights)
         masks = list(scores)
         ranks = _ranks([scores[c] for c in masks])
         if args.format == "json":
@@ -406,7 +309,7 @@ def cmd_goals(args) -> int:
             print("order: " + " ".join(pieces))
         return 0
 
-    system, effects = _parse_goal_file(doc)
+    system, effects = parse_goal_file(doc)
     if args.mode == "audit":
         consistent, monotonic = goal_audit(system)
         if args.format == "json":
@@ -444,11 +347,8 @@ def cmd_goals(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    doc = _load_json(args.massfile)
-    if not isinstance(doc, dict) or "frame" not in doc or "mass" not in doc:
-        raise ValidationError("mass file needs 'frame' and 'mass' fields")
-    frame = Frame(tuple(doc["frame"]))
-    m = parse_mass(doc["mass"], frame)
+    m = parse_mass_file(read_json(args.massfile))
+    frame = m.frame
     vector = pignistic(m) if args.kind == "pignistic" else plausibility_transform(m)
     if args.format == "json":
         print(json.dumps({label: p for label, p in zip(frame.labels, vector)}, indent=2))
@@ -469,13 +369,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-8,
-        help="e-admissibility tolerance: how much all other acts together may beat an act "
-        "by at its witness (often a credal vertex), as a fraction of the utility range",
     )
     problem_common = argparse.ArgumentParser(add_help=False)
     problem_common.add_argument("problem", help="problem file path, or - for stdin")
@@ -498,9 +391,16 @@ def build_parser() -> _Parser:
     p_choice = sub.add_parser("choice", parents=[common, problem_common],
                               help="compute the choice set of a partial-order rule")
     p_choice.add_argument("--rule", choices=CHOICE_RULES, required=True)
+    p_choice.add_argument(
+        "--tolerance",
+        type=float,
+        default=1e-8,
+        help="e-admissibility tolerance: how much all other acts together may beat an act "
+        "by at its witness (often a credal vertex), as a fraction of the utility range",
+    )
     p_choice.set_defaults(func=cmd_choice)
 
-    p_sweep = sub.add_parser("sweep", parents=[common, problem_common],
+    p_sweep = sub.add_parser("sweep", parents=[problem_common],
                              help="CSV of scores over a parameter grid")
     p_sweep.add_argument("--criterion", choices=SWEEP_CRITERIA, required=True)
     p_sweep.add_argument("--from", dest="start", type=float, default=0.0)
@@ -508,9 +408,10 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--steps", type=int, default=101)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_goals = sub.add_parser("goals", parents=[common],
-                             help="audit, score or classify with a goal file")
+    p_goals = sub.add_parser("goals", help="audit, score or classify with a goal file")
     p_goals.add_argument("goalfile", help="goal file path, or - for stdin")
+    p_goals.add_argument("--format", choices=("text", "json"), default="text",
+                         help="output format")
     p_goals.add_argument("--mode", choices=("audit", "score", "classify"), required=True)
     p_goals.set_defaults(func=cmd_goals)
 
@@ -526,6 +427,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "emit_normalized", False):
+            print(json.dumps(_load_problem(args.problem).to_dict(), indent=2))
+            return 0
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -533,7 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, BeliefDecisionError, ValueError, KeyError) as exc:
+    except (BeliefDecisionError, ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,9 +106,9 @@ class Frame:
     def singletons(self) -> Iterator[int]:
         return (1 << i for i in range(self.size))
 
-    def subsets(self, include_empty: bool = False) -> Iterator[int]:
-        """All subsets in increasing bitmask order."""
-        return iter(range(0 if include_empty else 1, self.full_set + 1))
+    def subsets(self) -> Iterator[int]:
+        """All non-empty subsets in increasing bitmask order."""
+        return iter(range(1, self.full_set + 1))
 
 
 def iter_elements(mask: int) -> Iterator[int]:
@@ -283,6 +283,13 @@ def _mass_vector(m: MassFunction) -> np.ndarray:
     for a, v in m.items():
         vec[a] = v
     return vec
+
+
+def _belief_plausibility(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Belief and plausibility of every subset by bitmask, equal to :func:`belief` and
+    :func:`plausibility`: one exact zeta transform, then Pl(a) = total - Bel(not a)."""
+    bel, shift = _zeta(_mass_vector(m))
+    return _to_float(bel, shift), _to_float(bel[-1] - bel[::-1], shift)
 
 
 def belief_table(m: MassFunction) -> dict[int, float]:

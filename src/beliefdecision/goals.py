@@ -17,16 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import (
-    Frame,
-    MassFunction,
-    SubsetLike,
-    _mass_vector,
-    _to_float,
-    _zeta,
-    belief,
-    plausibility,
-)
+from .core import Frame, MassFunction, SubsetLike, _belief_plausibility, belief, plausibility
 from .errors import FrameSizeError
 from .relations import Relation
 
@@ -132,9 +123,9 @@ def classification_scores(
     Goal k is "pick a correct set of at most k classes"; the goals are
     nested, so the score of choosing subset C factors into
     (belief + plausibility of C) times the weight of goals still
-    achievable at C's size. Belief of every subset comes from one exact
-    zeta transform, and Pl(C) = total - Bel(complement of C) in exact
-    integers, so both equal :func:`belief` and :func:`plausibility`.
+    achievable at C's size. Belief and plausibility of every subset
+    come from one exact zeta transform, so both equal :func:`belief`
+    and :func:`plausibility`.
     Returns the score per subset mask, the induced complete preorder
     over subsets (ascending mask order) as a score-backed
     :meth:`Relation.from_scores`, and its greatest elements, the
@@ -155,11 +146,10 @@ def classification_scores(
         raise ValueError("classification weights must be finite and strictly positive")
 
     tail = np.array([math.fsum(w[k:]) for k in range(k_classes)])
-    bel, shift = _zeta(_mass_vector(m))
-    pl = _to_float(bel[-1] - bel[::-1], shift)
+    bel, pl = _belief_plausibility(m)
     masks = range(1, len(bel))
     sizes = np.array([c.bit_count() for c in masks])
-    values = ((_to_float(bel, shift) + pl)[1:] * tail[sizes - 1]).tolist()
+    values = ((bel + pl)[1:] * tail[sizes - 1]).tolist()
     scores = dict(zip(masks, values))
     top = max(values)
     best = [c for c, v in scores.items() if v == top]

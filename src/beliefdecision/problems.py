@@ -1,4 +1,4 @@
-"""Decision-problem container and its file schema.
+"""Decision-problem container and every input file schema.
 
 A problem bundles the state frame, the acts (utility rows, or
 state-to-consequence-set maps plus a utility table), and an optional
@@ -20,18 +20,25 @@ non-empty set of consequence labels):
       "acts": [{"name": "f", "consequences": {"w1": ["c1"], ...}}],
       "mass": [...]
     }
+
+The goal, classification, mass and pessimism-index files are parsed
+here too, under the same rules: labels are unique strings, subsets are
+non-empty label lists, numbers are finite, and unknown top-level fields
+are rejected. Every violation raises :class:`ValidationError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, IO
 
 from .core import Act, Frame, MassFunction, UtilityTable, pushforward
-from .criteria import FocalSummary, summarize_rows
+from .criteria import FocalSummary, LocalPessimismIndex, summarize_rows
 from .errors import BeliefDecisionError, FrameMismatchError, ValidationError
+from .goals import GoalSystem
 from .ignorance import PayoffMatrix
 from .previsions import Gamble
 
@@ -144,28 +151,73 @@ def _expect(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def read_json(source: str | IO[str]) -> Any:
+    """One JSON document from a path, ``-`` for stdin, or an open text stream."""
+    name = source if isinstance(source, str) else "<stream>"
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {name!r}: {exc}") from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
+        raise ValidationError(f"{name}: invalid JSON: {exc}") from None
+
+
 def parse_number(value: Any, what: str) -> float:
     """A parsed JSON number as a float.
 
     JSON booleans are not numbers, and the NaN and Infinity literals
-    that Python's JSON reader accepts are not finite numbers.
+    that Python's JSON reader accepts, like integers beyond the float
+    range, are not finite numbers.
     """
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value), f"{what} must be a finite number")
+            and abs(value) <= sys.float_info.max, f"{what} must be a finite number")
     return float(value)
 
 
-def _parse_labels(doc: dict, key: str, required: bool) -> tuple[str, ...] | None:
-    if key not in doc:
-        _expect(not required, f"missing required field {key!r}")
-        return None
-    value = doc[key]
+def _check_fields(doc: Any, what: str, required: tuple[str, ...],
+                  optional: tuple[str, ...] = ()) -> None:
+    """``doc`` must be an object with every required field and no unknown one."""
+    _expect(isinstance(doc, dict), f"{what} must be a JSON object")
+    missing = [k for k in required if k not in doc]
+    _expect(not missing, f"{what} is missing required fields {missing!r}")
+    unknown = [k for k in doc if k not in required + optional]
+    _expect(not unknown, f"{what} has unknown fields {unknown!r}")
+
+
+def _parse_labels(value: Any, key: str) -> Frame:
     _expect(isinstance(value, list) and value, f"{key!r} must be a non-empty list")
     _expect(
         all(isinstance(v, str) for v in value), f"every entry of {key!r} must be a string"
     )
     _expect(len(set(value)) == len(value), f"{key!r} contains duplicate labels")
-    return tuple(value)
+    return Frame(value)
+
+
+def _parse_subset(value: Any, frame: Frame, where: str) -> int:
+    """A non-empty list of labels of ``frame`` (all strings) as a bitmask."""
+    _expect(isinstance(value, list) and value, f"{where} must be a non-empty list of labels")
+    try:
+        return frame.subset(value)
+    except FrameMismatchError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _parse_act_name(entry: Any, pos: int, names: list[str]) -> str:
+    """The unique, non-empty name of ``acts[pos]``, appended to ``names``."""
+    _expect(isinstance(entry, dict), f"acts[{pos}] must be an object")
+    name = entry.get("name")
+    _expect(isinstance(name, str) and name, f"acts[{pos}] needs a non-empty 'name'")
+    _expect(name not in names, f"duplicate act name {name!r}")
+    names.append(name)
+    return name
 
 
 def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
@@ -176,14 +228,8 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
         _expect(isinstance(entry, dict), f"{where}[{pos}] must be an object")
         _expect("focal" in entry and "mass" in entry,
                 f"{where}[{pos}] needs 'focal' and 'mass' fields")
-        focal = entry["focal"]
-        _expect(isinstance(focal, list) and focal,
-                f"{where}[{pos}].focal must be a non-empty list of labels")
+        mask = _parse_subset(entry["focal"], frame, f"{where}[{pos}].focal")
         value = parse_number(entry["mass"], f"{where}[{pos}].mass")
-        try:
-            mask = frame.subset(focal)
-        except FrameMismatchError as exc:
-            raise ValidationError(f"{where}[{pos}].focal: {exc}") from None
         masses[mask] = masses.get(mask, 0.0) + value
     total = math.fsum(masses.values())
     _expect(abs(total - 1.0) <= 1e-9,
@@ -195,13 +241,12 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
 
 
 def parse_problem_dict(doc: Any) -> DecisionProblem:
-    _expect(isinstance(doc, dict), "problem file must contain a JSON object")
-    states = Frame(_parse_labels(doc, "states", required=True))
+    _check_fields(doc, "problem file", ("states", "acts"), ("consequences", "utilities", "mass"))
+    states = _parse_labels(doc["states"], "states")
 
-    consequence_labels = _parse_labels(doc, "consequences", required=False)
-    consequences = Frame(consequence_labels) if consequence_labels else None
-    utilities = None
-    if consequences is not None:
+    consequences = utilities = None
+    if "consequences" in doc:
+        consequences = _parse_labels(doc["consequences"], "consequences")
         _expect("utilities" in doc, "'consequences' given without a 'utilities' table")
         table = doc["utilities"]
         _expect(isinstance(table, dict), "'utilities' must be an object")
@@ -212,18 +257,16 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
         utilities = UtilityTable(
             consequences, {c: parse_number(v, "every utility") for c, v in table.items()}
         )
+    _expect(consequences is not None or "utilities" not in doc,
+            "a 'utilities' table needs declared 'consequences'")
 
-    acts_doc = doc.get("acts")
+    acts_doc = doc["acts"]
     _expect(isinstance(acts_doc, list) and acts_doc, "'acts' must be a non-empty list")
     names: list[str] = []
     rows: list[tuple[float, ...] | None] = []
     acts: list[Act | None] = []
     for pos, entry in enumerate(acts_doc):
-        _expect(isinstance(entry, dict), f"acts[{pos}] must be an object")
-        name = entry.get("name")
-        _expect(isinstance(name, str) and name, f"acts[{pos}] needs a non-empty 'name'")
-        _expect(name not in names, f"duplicate act name {name!r}")
-        names.append(name)
+        name = _parse_act_name(entry, pos, names)
         has_row = "utilities" in entry
         has_map = "consequences" in entry
         _expect(
@@ -250,20 +293,11 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
             _expect(not missing, f"act {name!r} gives no consequences for states {missing!r}")
             unknown = [s for s in mapping if s not in states.labels]
             _expect(not unknown, f"act {name!r} names unknown states {unknown!r}")
-            images = {}
-            for s, cs in mapping.items():
-                _expect(
-                    isinstance(cs, list) and cs,
-                    f"act {name!r}, state {s!r}: consequence set must be a non-empty list",
-                )
-                try:
-                    images[s] = tuple(cs)
-                except TypeError:
-                    raise ValidationError(f"act {name!r}, state {s!r}: bad consequence list")
-            try:
-                act = Act.from_mapping(name, states, consequences, images)
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"act {name!r}: {exc}") from None
+            images = tuple(
+                _parse_subset(mapping[s], consequences, f"act {name!r}, state {s!r}")
+                for s in states.labels
+            )
+            act = Act(name, states, consequences, images)
             acts.append(act)
             if act.is_point_valued():
                 rows.append(
@@ -278,10 +312,6 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
     if "mass" in doc:
         mass = parse_mass(doc["mass"], states)
 
-    known = {"states", "consequences", "utilities", "acts", "mass"}
-    unknown_keys = [k for k in doc if k not in known]
-    _expect(not unknown_keys, f"unknown top-level fields {unknown_keys!r}")
-
     return DecisionProblem(
         states=states,
         act_names=tuple(names),
@@ -294,14 +324,86 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
 
 
 def parse_problem(source: str | IO[str]) -> DecisionProblem:
-    """Parse a problem from a path or an open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    """Parse a problem from a path, ``-`` for stdin, or an open text stream."""
+    return parse_problem_dict(read_json(source))
+
+
+def parse_goal_file(doc: Any) -> tuple[GoalSystem, list[tuple[str, int | MassFunction]]]:
+    """The goal system and the act effects of a goal file, in file order.
+
+    An act's effect is either the bitmask of its ``certain`` subset or
+    the mass function of its uncertain ``mass``.
+    """
+    _check_fields(doc, "goal file", ("theta", "goals"), ("acts",))
+    frame = _parse_labels(doc["theta"], "theta")
+    goals_doc = doc["goals"]
+    _expect(isinstance(goals_doc, list) and goals_doc, "'goals' must be a non-empty list")
+    goals, weights = [], []
+    for pos, entry in enumerate(goals_doc):
+        _expect(isinstance(entry, dict) and "elements" in entry,
+                f"goals[{pos}] must be an object with 'elements'")
+        goals.append(_parse_subset(entry["elements"], frame, f"goals[{pos}].elements"))
+        weights.append(parse_number(entry.get("weight", 1.0), f"goals[{pos}].weight"))
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
-    return parse_problem_dict(doc)
+        system = GoalSystem(frame, goals, weights)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+    acts_doc = doc.get("acts", [])
+    _expect(isinstance(acts_doc, list), "'acts' must be a list")
+    names: list[str] = []
+    effects: list[tuple[str, int | MassFunction]] = []
+    for pos, entry in enumerate(acts_doc):
+        name = _parse_act_name(entry, pos, names)
+        _expect(("certain" in entry) != ("mass" in entry),
+                f"act {name!r} must give either 'certain' or 'mass'")
+        if "certain" in entry:
+            effect = _parse_subset(entry["certain"], frame, f"act {name!r}: 'certain'")
+        else:
+            effect = parse_mass(entry["mass"], frame, where=f"acts[{pos}].mass")
+        effects.append((name, effect))
+    return system, effects
+
+
+def parse_classification_file(doc: Any) -> tuple[MassFunction, list[float]]:
+    """The mass over the classes and the per-size goal weights."""
+    _check_fields(doc, "classification file", ("classes", "mass", "weights"))
+    frame = _parse_labels(doc["classes"], "classes")
+    m = parse_mass(doc["mass"], frame)
+    weights = doc["weights"]
+    _expect(isinstance(weights, list) and len(weights) == frame.size,
+            f"'weights' must list {frame.size} numbers")
+    return m, [parse_number(w, "every weight") for w in weights]
+
+
+def parse_mass_file(doc: Any) -> MassFunction:
+    """The mass function of a mass file, over the file's ``frame``."""
+    _check_fields(doc, "mass file", ("frame", "mass"))
+    return parse_mass(doc["mass"], _parse_labels(doc["frame"], "frame"))
+
+
+def parse_index_file(doc: Any, problem: DecisionProblem) -> LocalPessimismIndex:
+    """A pessimism-index table for ``problem``: one entry per (worst, best) pair.
+
+    The table names consequence pairs, so the problem must declare
+    consequences and map every act onto them.
+    """
+    _expect(isinstance(doc, list), "index file must be a JSON list of pair entries")
+    _expect(problem.consequences is not None,
+            "a pessimism-index table needs declared consequences in the problem file")
+    row_acts = [n for n, act in zip(problem.act_names, problem.acts) if act is None]
+    _expect(not row_acts, f"a pessimism-index table needs consequence-mapped acts; "
+                          f"{row_acts!r} are given as utility rows")
+    labels = problem.consequences.labels
+    table = {}
+    for pos, entry in enumerate(doc):
+        _check_fields(entry, f"index entry {pos}", ("worst", "best", "alpha"))
+        pair = (entry["worst"], entry["best"])
+        _expect(all(c in labels for c in pair),
+                f"index entry {pos}: 'worst' and 'best' must be consequence labels")
+        _expect(pair not in table, f"index entry {pos} repeats the pair {pair!r}")
+        table[pair] = parse_number(entry["alpha"], f"index entry {pos}: 'alpha'")
+    try:
+        return LocalPessimismIndex(table)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None

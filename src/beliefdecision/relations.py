@@ -49,12 +49,12 @@ class Relation:
         self.complete = complete
 
     @classmethod
-    def from_scores(cls, scores: Sequence[float], *, higher_better: bool = True) -> "Relation":
+    def from_scores(cls, scores: Sequence[float]) -> "Relation":
         """Complete preorder induced by score comparison; ties are indifference.
 
         No n × n table is built: ``holds(i, j)`` compares two scores.
         """
-        keys = tuple(scores) if higher_better else tuple(-s for s in scores)
+        keys = tuple(scores)
         for i, s in enumerate(keys):
             if s != s:
                 raise ValueError(f"relation must be reflexive; item {i} is not related to itself")
