@@ -17,19 +17,14 @@ import functools
 import json
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .core import MassFunction, pignistic, plausibility_transform
-from .criteria import (
-    LocalPessimismIndex,
-    _owa_weights_cached,
-    generalized_minimax_regret,
-    hurwicz_blend,
-)
+from .criteria import FocalSummary, LocalPessimismIndex, hurwicz_blend, summarize_rows
 from .errors import BeliefDecisionError, SolverError, ValidationError
 from .goals import classification_scores, deterministic_score, expected_score, goal_audit
-from .ignorance import OwaWeights, minimax_regret, owa_aggregate, prune_dominated, score_ignorance
+from .ignorance import minimax_regret, prune_dominated
 from .previsions import e_admissible_set, maximality_relation
 from .problems import (
     DecisionProblem,
@@ -46,20 +41,6 @@ from .relations import (
     maximal_elements,
 )
 
-RANK_CRITERIA = (
-    "maximin",
-    "maximax",
-    "hurwicz",
-    "laplace",
-    "regret",
-    "lower",
-    "upper",
-    "ghurwicz",
-    "pignistic",
-    "gowa",
-    "gregret",
-    "jaffray",
-)
 CHOICE_RULES = (
     "interval-dominance",
     "interval-bound",
@@ -67,7 +48,6 @@ CHOICE_RULES = (
     "e-admissibility",
     "prune-dominated",
 )
-SWEEP_CRITERIA = ("hurwicz", "ghurwicz", "owa", "gowa")
 
 
 class UsageError(Exception):
@@ -95,62 +75,86 @@ def _ranks(scores: Sequence[float], *, lower_better: bool = False) -> list[int]:
     return [1 + len(ordered) - bisect_right(ordered, s) for s in scores]
 
 
-def _rank_scores(problem: DecisionProblem, args) -> tuple[list[float], bool]:
-    """Per-act scores in file order plus whether lower is better."""
-    criterion = args.criterion
+class Criterion(NamedTuple):
+    """How ``rank`` and ``sweep`` score a criterion.
 
-    def need_alpha() -> float:
-        if args.alpha is None:
-            raise UsageError(f"criterion {criterion!r} needs --alpha")
-        return args.alpha
+    ``inputs`` reads every act once; ``score(entry, *params)`` scores one
+    act's entry at the value of ``param``, or with no parameter.
+    """
 
-    def need_beta() -> float:
-        if args.beta is None:
-            raise UsageError(f"criterion {criterion!r} needs --beta")
-        return args.beta
-
-    if criterion in ("maximin", "maximax", "laplace"):
-        return list(score_ignorance(problem.payoff_matrix(), criterion)), False
-    if criterion == "hurwicz":
-        return list(score_ignorance(problem.payoff_matrix(), "hurwicz", need_alpha())), False
-    if criterion == "regret":
-        _, max_regret = minimax_regret(problem.payoff_matrix())
-        return list(max_regret), True
-    if criterion == "gregret":
-        scores = generalized_minimax_regret(problem.payoff_matrix(), problem.require_mass())
-        return list(scores), True
-
-    summaries = problem.summaries()
-    if criterion == "lower":
-        return [s.lower() for s in summaries], False
-    if criterion == "upper":
-        return [s.upper() for s in summaries], False
-    if criterion == "ghurwicz":
-        alpha = need_alpha()
-        return [hurwicz_blend(s.lower(), s.upper(), alpha) for s in summaries], False
-    if criterion == "pignistic":
-        return [s.pignistic() for s in summaries], False
-    if criterion == "gowa":
-        beta = need_beta()
-        return [s.owa(beta) for s in summaries], False
-    if criterion == "jaffray":
-        index = _jaffray_index(problem, args)
-        return [s.jaffray(index) for s in summaries], False
-    raise UsageError(f"unknown criterion {criterion!r}")
+    inputs: Callable[[DecisionProblem], list]
+    score: Callable[..., float]
+    param: str | None = None  # "alpha", "beta" or the Jaffray "index"
+    lower_better: bool = False
 
 
-def _jaffray_index(problem: DecisionProblem, args) -> LocalPessimismIndex:
-    if args.index_file is not None:
-        return parse_index_file(read_json(args.index_file), problem)
-    if args.alpha is not None:
-        return LocalPessimismIndex.constant(args.alpha)
-    raise UsageError("criterion 'jaffray' needs --alpha or --index-file")
+def _ignorance(problem: DecisionProblem) -> list[FocalSummary]:
+    rows = problem.payoff_matrix().utilities
+    return summarize_rows(MassFunction.vacuous(problem.states), rows)
+
+
+def _regret(problem: DecisionProblem, expected: bool = False) -> list[FocalSummary]:
+    rows, _ = minimax_regret(problem.payoff_matrix())  # multi-valued acts fail first
+    m = problem.require_mass() if expected else MassFunction.vacuous(problem.states)
+    return summarize_rows(m, rows)
+
+
+def _bounds(summaries: Callable[[DecisionProblem], list[FocalSummary]]):
+    """Every act's lower and upper expectation, read once for a whole sweep."""
+    return lambda problem: [(s.lower(), s.upper()) for s in summaries(problem)]
+
+
+def _blend(bounds: tuple[float, float], alpha: float) -> float:
+    return hurwicz_blend(*bounds, alpha)
+
+
+# Each criterion under ignorance is its belief-function twin under the
+# vacuous mass; the regret criteria take the upper expectation of each
+# act's regret row. ``owa`` comes last, as only ``sweep`` offers it.
+_mass_bounds = _bounds(DecisionProblem.summaries)
+CRITERIA = {
+    "maximin": Criterion(_ignorance, FocalSummary.lower),
+    "maximax": Criterion(_ignorance, FocalSummary.upper),
+    "hurwicz": Criterion(_bounds(_ignorance), _blend, "alpha"),
+    "laplace": Criterion(_ignorance, FocalSummary.pignistic),
+    "regret": Criterion(_regret, FocalSummary.upper, lower_better=True),
+    "lower": Criterion(DecisionProblem.summaries, FocalSummary.lower),
+    "upper": Criterion(DecisionProblem.summaries, FocalSummary.upper),
+    "ghurwicz": Criterion(_mass_bounds, _blend, "alpha"),
+    "pignistic": Criterion(DecisionProblem.summaries, FocalSummary.pignistic),
+    "gowa": Criterion(DecisionProblem.summaries, FocalSummary.owa, "beta"),
+    "gregret": Criterion(functools.partial(_regret, expected=True), FocalSummary.upper,
+                         lower_better=True),
+    "jaffray": Criterion(DecisionProblem.summaries, FocalSummary.jaffray, "index"),
+    "owa": Criterion(_ignorance, FocalSummary.owa, "beta"),
+}
+RANK_CRITERIA = tuple(name for name in CRITERIA if name != "owa")
+SWEEP_CRITERIA = ("hurwicz", "ghurwicz", "owa", "gowa")
+
+
+def _parameter(problem: DecisionProblem, args) -> tuple[Any, ...]:
+    """The criterion's parameter, as the extra arguments of its ``score``."""
+    name = CRITERIA[args.criterion].param
+    if name is None:
+        return ()
+    if name == "index":
+        if args.index_file is not None:
+            return (parse_index_file(read_json(args.index_file), problem),)
+        if args.alpha is not None:
+            return (LocalPessimismIndex.constant(args.alpha),)
+        name = "alpha or --index-file"
+    elif getattr(args, name) is not None:
+        return (getattr(args, name),)
+    raise UsageError(f"criterion {args.criterion!r} needs --{name}")
 
 
 def cmd_rank(args) -> int:
     problem = _load_problem(args.problem)
-    scores, lower_better = _rank_scores(problem, args)
-    ranks = _ranks(scores, lower_better=lower_better)
+    criterion = CRITERIA[args.criterion]
+    inputs = criterion.inputs(problem)
+    params = _parameter(problem, args)
+    scores = [criterion.score(entry, *params) for entry in inputs]
+    ranks = _ranks(scores, lower_better=criterion.lower_better)
     order = sorted(range(problem.n_acts), key=lambda i: (ranks[i], i))
     if args.format == "json":
         doc = {
@@ -171,11 +175,6 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _expectation_bounds(problem: DecisionProblem) -> tuple[list[float], list[float]]:
-    summaries = problem.summaries()
-    return [s.lower() for s in summaries], [s.upper() for s in summaries]
-
-
 def cmd_choice(args) -> int:
     problem = _load_problem(args.problem)
     names = problem.act_names
@@ -190,10 +189,10 @@ def cmd_choice(args) -> int:
             {"dominated": names[i], "dominator": names[k]} for i, k in pairs
         ]
     elif args.rule == "interval-dominance":
-        lowers, uppers = _expectation_bounds(problem)
+        lowers, uppers = zip(*_mass_bounds(problem))
         chosen = interval_dominance_choice(lowers, uppers)
     elif args.rule == "interval-bound":
-        lowers, uppers = _expectation_bounds(problem)
+        lowers, uppers = zip(*_mass_bounds(problem))
         chosen = maximal_elements(interval_bound_dominance(lowers, uppers))
     elif args.rule == "maximality":
         delta, _, chosen = maximality_relation(problem.gambles(), problem.require_mass())
@@ -241,36 +240,15 @@ def cmd_sweep(args) -> int:
         raise UsageError("--steps must be at least 2")
     if not (0.0 <= args.start <= args.stop <= 1.0):
         raise UsageError("need 0 <= --from <= --to <= 1")
-    param = "alpha" if args.criterion in ("hurwicz", "ghurwicz") else "beta"
     grid = [
         args.stop if k == args.steps - 1
         else args.start + (args.stop - args.start) * k / (args.steps - 1)
         for k in range(args.steps)
     ]
-
-    if args.criterion in ("hurwicz", "owa"):
-        matrix = problem.payoff_matrix()
-    else:
-        summaries = problem.summaries()
-        if args.criterion == "ghurwicz":
-            bounds = [(s.lower(), s.upper()) for s in summaries]
-
-    def scores_at(value: float) -> list[float]:
-        if args.criterion == "hurwicz":
-            return list(score_ignorance(matrix, "hurwicz", value))
-        if args.criterion == "owa":
-            weights = (
-                _owa_weights_cached(matrix.n_states, value)
-                if matrix.n_states > 1
-                else OwaWeights((1.0,))
-            )
-            return [owa_aggregate(row, weights) for row in matrix.utilities]
-        if args.criterion == "ghurwicz":
-            return [hurwicz_blend(low, high, value) for low, high in bounds]
-        return [s.owa(value) for s in summaries]
-
-    rows = [[value] + scores_at(value) for value in grid]
-    print(",".join([param] + list(problem.act_names)))
+    criterion = CRITERIA[args.criterion]
+    inputs = criterion.inputs(problem)
+    rows = [[value] + [criterion.score(entry, value) for entry in inputs] for value in grid]
+    print(",".join([criterion.param] + list(problem.act_names)))
     for row in rows:
         print(",".join(f"{v!r}" for v in row))
     return 0

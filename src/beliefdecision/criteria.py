@@ -63,7 +63,10 @@ class FocalSummary(NamedTuple):
         return math.fsum([v * x[0] for v, x in zip(self.masses, self.ordered)])
 
     def pignistic(self) -> float:
-        return math.fsum([v * math.fsum(x) / len(x) for v, x in zip(self.masses, self.values)])
+        try:
+            return math.fsum([v * math.fsum(x) / len(x) for v, x in zip(self.masses, self.values)])
+        except OverflowError:  # a focal set's utilities sum past the float range
+            raise ValueError("the pignistic expected utility overflows the float range") from None
 
     def owa(self, beta: float) -> float:
         _check_unit(beta, "degree of optimism")

@@ -57,9 +57,6 @@ class PayoffMatrix:
     def n_states(self) -> int:
         return len(self.state_names)
 
-    def row(self, i: int) -> tuple[float, ...]:
-        return self.utilities[i]
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.utilities, dtype=float)
 

@@ -284,6 +284,13 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
                 if hits.size:
                     _pivot(tableau, basis, i, int(hits[0]), work)
                     iterations += 1
+        # phase two never reads the artificial columns that left the basis
+        kept = sorted(col for col in basis if col >= n + n_slack)
+        tableau = tableau[:, list(range(n + n_slack)) + kept + [total]]
+        work = np.empty_like(tableau)
+        renamed = {col: n + n_slack + k for k, col in enumerate(kept)}
+        basis = [renamed.get(col, col) for col in basis]
+        total = n + n_slack + len(kept)
 
     # phase two over the scaled objective, artificial columns excluded
     c = np.ldexp(lp.objective, col_exp)
