@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .core import MassFunction, pignistic, plausibility_transform
-from .criteria import FocalSummary, LocalPessimismIndex, hurwicz_blend, summarize_rows
+from .criteria import FocalTable, LocalPessimismIndex, hurwicz_blend
 from .errors import BeliefDecisionError, SolverError, ValidationError
 from .goals import classification_scores, deterministic_score, expected_score, goal_audit
 from .ignorance import minimax_regret, prune_dominated
@@ -78,55 +78,58 @@ def _ranks(scores: Sequence[float], *, lower_better: bool = False) -> list[int]:
 class Criterion(NamedTuple):
     """How ``rank`` and ``sweep`` score a criterion.
 
-    ``inputs`` reads every act once; ``score(entry, *params)`` scores one
-    act's entry at the value of ``param``, or with no parameter.
+    ``inputs`` reads every act once; ``score(inputs, *params)`` scores
+    every act at the value of ``param``, or with no parameter.
     """
 
-    inputs: Callable[[DecisionProblem], list]
-    score: Callable[..., float]
+    inputs: Callable[[DecisionProblem], Any]
+    score: Callable[..., list[float]]
     param: str | None = None  # "alpha", "beta" or the Jaffray "index"
     lower_better: bool = False
 
 
-def _ignorance(problem: DecisionProblem) -> list[FocalSummary]:
+def _ignorance(problem: DecisionProblem) -> FocalTable:
     rows = problem.payoff_matrix().utilities
-    return summarize_rows(MassFunction.vacuous(problem.states), rows)
+    return FocalTable.of_rows(MassFunction.vacuous(problem.states), rows)
 
 
-def _regret(problem: DecisionProblem, expected: bool = False) -> list[FocalSummary]:
+def _regret(problem: DecisionProblem, expected: bool = False) -> FocalTable:
     rows, _ = minimax_regret(problem.payoff_matrix())  # multi-valued acts fail first
     m = problem.require_mass() if expected else MassFunction.vacuous(problem.states)
-    return summarize_rows(m, rows)
+    return FocalTable.of_rows(m, rows)
 
 
-def _bounds(summaries: Callable[[DecisionProblem], list[FocalSummary]]):
+def _bounds(inputs: Callable[[DecisionProblem], FocalTable]):
     """Every act's lower and upper expectation, read once for a whole sweep."""
-    return lambda problem: [(s.lower(), s.upper()) for s in summaries(problem)]
+    def bounds(problem: DecisionProblem) -> tuple[list[float], list[float]]:
+        table = inputs(problem)
+        return table.lower(), table.upper()
+    return bounds
 
 
-def _blend(bounds: tuple[float, float], alpha: float) -> float:
-    return hurwicz_blend(*bounds, alpha)
+def _blend(bounds: tuple[list[float], list[float]], alpha: float) -> list[float]:
+    return [hurwicz_blend(low, up, alpha) for low, up in zip(*bounds)]
 
 
 # Each criterion under ignorance is its belief-function twin under the
 # vacuous mass; the regret criteria take the upper expectation of each
 # act's regret row. ``owa`` comes last, as only ``sweep`` offers it.
-_mass_bounds = _bounds(DecisionProblem.summaries)
+_mass_bounds = _bounds(DecisionProblem.focal_table)
 CRITERIA = {
-    "maximin": Criterion(_ignorance, FocalSummary.lower),
-    "maximax": Criterion(_ignorance, FocalSummary.upper),
+    "maximin": Criterion(_ignorance, FocalTable.lower),
+    "maximax": Criterion(_ignorance, FocalTable.upper),
     "hurwicz": Criterion(_bounds(_ignorance), _blend, "alpha"),
-    "laplace": Criterion(_ignorance, FocalSummary.pignistic),
-    "regret": Criterion(_regret, FocalSummary.upper, lower_better=True),
-    "lower": Criterion(DecisionProblem.summaries, FocalSummary.lower),
-    "upper": Criterion(DecisionProblem.summaries, FocalSummary.upper),
+    "laplace": Criterion(_ignorance, FocalTable.pignistic),
+    "regret": Criterion(_regret, FocalTable.upper, lower_better=True),
+    "lower": Criterion(DecisionProblem.focal_table, FocalTable.lower),
+    "upper": Criterion(DecisionProblem.focal_table, FocalTable.upper),
     "ghurwicz": Criterion(_mass_bounds, _blend, "alpha"),
-    "pignistic": Criterion(DecisionProblem.summaries, FocalSummary.pignistic),
-    "gowa": Criterion(DecisionProblem.summaries, FocalSummary.owa, "beta"),
-    "gregret": Criterion(functools.partial(_regret, expected=True), FocalSummary.upper,
+    "pignistic": Criterion(DecisionProblem.focal_table, FocalTable.pignistic),
+    "gowa": Criterion(DecisionProblem.focal_table, FocalTable.owa, "beta"),
+    "gregret": Criterion(functools.partial(_regret, expected=True), FocalTable.upper,
                          lower_better=True),
-    "jaffray": Criterion(DecisionProblem.summaries, FocalSummary.jaffray, "index"),
-    "owa": Criterion(_ignorance, FocalSummary.owa, "beta"),
+    "jaffray": Criterion(DecisionProblem.focal_table, FocalTable.jaffray, "index"),
+    "owa": Criterion(_ignorance, FocalTable.owa, "beta"),
 }
 RANK_CRITERIA = tuple(name for name in CRITERIA if name != "owa")
 SWEEP_CRITERIA = ("hurwicz", "ghurwicz", "owa", "gowa")
@@ -152,8 +155,7 @@ def cmd_rank(args) -> int:
     problem = _load_problem(args.problem)
     criterion = CRITERIA[args.criterion]
     inputs = criterion.inputs(problem)
-    params = _parameter(problem, args)
-    scores = [criterion.score(entry, *params) for entry in inputs]
+    scores = criterion.score(inputs, *_parameter(problem, args))
     ranks = _ranks(scores, lower_better=criterion.lower_better)
     order = sorted(range(problem.n_acts), key=lambda i: (ranks[i], i))
     if args.format == "json":
@@ -188,12 +190,10 @@ def cmd_choice(args) -> int:
         extra_json["dominance"] = [
             {"dominated": names[i], "dominator": names[k]} for i, k in pairs
         ]
-    elif args.rule == "interval-dominance":
-        lowers, uppers = zip(*_mass_bounds(problem))
-        chosen = interval_dominance_choice(lowers, uppers)
-    elif args.rule == "interval-bound":
-        lowers, uppers = zip(*_mass_bounds(problem))
-        chosen = maximal_elements(interval_bound_dominance(lowers, uppers))
+    elif args.rule in ("interval-dominance", "interval-bound"):
+        lowers, uppers = _mass_bounds(problem)
+        chosen = (interval_dominance_choice(lowers, uppers) if args.rule == "interval-dominance"
+                  else maximal_elements(interval_bound_dominance(lowers, uppers)))
     elif args.rule == "maximality":
         delta, _, chosen = maximality_relation(problem.gambles(), problem.require_mass())
         header = "  ".join(names)
@@ -247,7 +247,7 @@ def cmd_sweep(args) -> int:
     ]
     criterion = CRITERIA[args.criterion]
     inputs = criterion.inputs(problem)
-    rows = [[value] + [criterion.score(entry, value) for entry in inputs] for value in grid]
+    rows = [[value] + criterion.score(inputs, value) for value in grid]
     print(",".join([criterion.param] + list(problem.act_names)))
     for row in rows:
         print(",".join(f"{v!r}" for v in row))

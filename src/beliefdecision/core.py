@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -61,9 +62,11 @@ class Frame:
             raise FrameSizeError(
                 f"frame has {len(labels)} elements; at most {MAX_FRAME_SIZE} supported"
             )
-        if len(set(labels)) != len(labels):
+        bits = {label: 1 << i for i, label in enumerate(labels)}
+        if len(bits) != len(labels):
             raise ValueError(f"frame labels must be unique, got {labels!r}")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_bits", bits)  # not a field: equality reads the labels
 
     @property
     def size(self) -> int:
@@ -76,8 +79,8 @@ class Frame:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._bits[label].bit_length() - 1
+        except (KeyError, TypeError):  # unknown, or unhashable as a JSON list is
             raise KeyError(f"label {label!r} not in frame {self.labels!r}") from None
 
     def subset(self, members: SubsetLike) -> int:
@@ -89,11 +92,11 @@ class Frame:
             if members < 0 or members > self.full_set:
                 raise ValueError(f"bitmask {members} out of range for frame of size {self.size}")
             return members
-        mask = 0
+        mask, bits = 0, self._bits
         for label in members:
             try:
-                mask |= 1 << self.index(label)
-            except KeyError:
+                mask |= bits[label]
+            except (KeyError, TypeError):
                 raise FrameMismatchError(
                     f"label {label!r} is not in the frame {self.labels!r}"
                 ) from None
@@ -474,16 +477,16 @@ class UtilityTable:
 
     def __init__(self, frame: Frame, values: Mapping[str, float] | Iterable[float]):
         self.frame = frame
-        if isinstance(values, Mapping):
+        if isinstance(values, abc.Mapping):
             missing = [c for c in frame.labels if c not in values]
             if missing:
                 raise ValueError(f"utility table is missing consequences {missing!r}")
             vals = tuple(float(values[c]) for c in frame.labels)
         else:
-            vals = tuple(float(v) for v in values)
+            vals = tuple(map(float, values))
             if len(vals) != frame.size:
                 raise ValueError("utility vector length differs from frame size")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("utilities must be finite")
         self.values = vals
 

@@ -4,16 +4,15 @@ A lottery is a mass function over consequences together with a utility
 table. Each criterion aggregates the utilities inside every focal set
 into one number and averages those by the focal masses, so all of them
 collapse to ordinary expected utility on Bayesian lotteries. Each is a
-reduction over one :class:`FocalSummary`, which reads every focal set's
-utilities once; acts given as utility rows share the state mass and are
-summarised together by :func:`summarize_rows`.
+reduction of one :class:`FocalTable`, which reads every focal set of
+every act once; :class:`FocalSummary` is one act's view of it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from functools import lru_cache
-from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ from .core import Frame, MassFunction, UtilityTable, iter_elements, nonspecifici
 from .ignorance import OwaWeights, PayoffMatrix, max_entropy_owa_weights, minimax_regret
 
 
-@lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096)
 def _owa_weights_cached(arity: int, beta: float) -> OwaWeights:
     return max_entropy_owa_weights(arity, beta)
 
@@ -32,12 +31,115 @@ def _check_unit(value: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
+class FocalTable:
+    """Every act's lottery as focal cells, flattened act by act.
+
+    Act i owns cells ``starts[i]:starts[i + 1]``, one per focal set in
+    ascending mask order, over the frame ``frames[i]``. Per cell: mask,
+    mass, size, utilities in frame order and in decreasing order with
+    ties in frame order (both padded with zeros), and the first minimum
+    and maximum in frame order (``argmin`` and ``argmax`` keep the sign of
+    a zero, as ``min`` does). A criterion gives each act the ``math.fsum``
+    of its cells' terms, which numpy forms with the rounding of Python's
+    ``*``.
+    """
+
+    def __init__(self, frames: Sequence[Frame], sizes: Sequence[int], masks: Sequence[int],
+                 masses: Sequence[float], utilities: np.ndarray):
+        """Act i has ``sizes[i]`` of the cells and its utilities in ``utilities[i]``."""
+        if not np.isfinite(utilities).all():
+            raise ValueError("utilities must be finite")
+        self.frames, self.starts = tuple(frames), [0, *itertools.accumulate(sizes)]
+        self.masks, self.masses = np.asarray(masks, dtype=np.int64), np.asarray(masses, float)
+        span = np.arange(utilities.shape[1])
+        inside = self.masks[:, None] >> span & 1 == 1
+        self.counts = inside.sum(axis=1)
+        # each cell's elements in frame order, then the rest (the sort keys are distinct)
+        self._elements = np.argsort(np.where(inside, span, span + len(span)), axis=1)
+        self._pad = span >= self.counts[:, None]
+        acts = np.repeat(np.arange(len(utilities)), sizes)
+        self.values = np.where(self._pad, 0.0, utilities[acts[:, None], self._elements])
+        self._low = np.where(self._pad, np.inf, self.values).argmin(axis=1)
+        self._high = np.where(self._pad, -np.inf, self.values).argmax(axis=1)
+        cell = np.arange(len(self._pad))
+        self.lows, self.highs = self.values[cell, self._low], self.values[cell, self._high]
+
+    @classmethod
+    def of_rows(cls, m: MassFunction, rows: Sequence[Sequence[float]]) -> "FocalTable":
+        """The lotteries ``(m, row)`` of utility rows over ``m``'s frame."""
+        u = np.asarray(rows, dtype=float).reshape(len(rows), m.frame.size)
+        masks, masses = zip(*m.items())
+        return cls((m.frame,) * len(u), (len(masks),) * len(u), masks * len(u), masses * len(u), u)
+
+    @functools.cached_property
+    def ordered(self) -> np.ndarray:
+        """Each cell's utilities in decreasing order, ties in frame order, padding last."""
+        order = np.argsort(np.where(self._pad, np.inf, -self.values), axis=1, kind="stable")
+        return self.values[np.arange(len(order))[:, None], order]
+
+    @functools.cached_property
+    def _bounds(self) -> list[int]:
+        """Where each cell's entries start among all cells' unpadded entries, in order."""
+        return [0, *itertools.accumulate(self.counts.tolist())]
+
+    @staticmethod
+    def _fsums(terms: list[float], bounds: list[int]) -> list[float]:
+        return [math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def _per_act(self, terms: np.ndarray) -> list[float]:
+        return self._fsums(terms.tolist(), self.starts)
+
+    def _cell_sums(self, terms: np.ndarray) -> np.ndarray:
+        """``math.fsum`` of each cell's own entries of ``terms``, the padding left out."""
+        return np.array(self._fsums(terms[~self._pad].tolist(), self._bounds))
+
+    def summary(self, i: int) -> "FocalSummary":
+        """Act i's cells as Python numbers."""
+        a, b = self.starts[i], self.starts[i + 1]
+        values, ordered = ([x[:k] for x, k in zip(rows[a:b].tolist(), self.counts[a:b].tolist())]
+                           for rows in (self.values, self.ordered))
+        return FocalSummary(self.frames[i], tuple(self.masks[a:b].tolist()),
+                            tuple(self.masses[a:b].tolist()), values, self.lows[a:b].tolist(),
+                            ordered)
+
+    def lower(self) -> list[float]:
+        return self._per_act(self.masses * self.lows)
+
+    def upper(self) -> list[float]:
+        return self._per_act(self.masses * self.highs)
+
+    def pignistic(self) -> list[float]:
+        try:
+            return self._per_act(self.masses * self._cell_sums(self.values) / self.counts)
+        except OverflowError:  # a focal set's utilities sum past the float range
+            raise ValueError("the pignistic expected utility overflows the float range") from None
+
+    def owa(self, beta: float) -> list[float]:
+        _check_unit(beta, "degree of optimism")
+        # row k holds the weights of arity k; a one-element cell takes its utility
+        weights = np.zeros((self.values.shape[1] + 1, self.values.shape[1]))
+        weights[1, 0] = 1.0
+        for k in dict.fromkeys(self.counts.tolist()):  # in order of first appearance
+            if k > 1:
+                weights[k, :k] = _owa_weights_cached(k, beta).w
+        return self._per_act(self.masses * self._cell_sums(self.ordered * weights[self.counts]))
+
+    def jaffray(self, index: LocalPessimismIndex) -> list[float]:
+        cell, alphas = np.arange(len(self.masks)), []
+        worst, best = (self._elements[cell, at].tolist() for at in (self._low, self._high))
+        for frame, a, b in zip(self.frames, self.starts, self.starts[1:]):
+            labels = frame.labels
+            alphas += [index(labels[w], labels[h]) for w, h in zip(worst[a:b], best[a:b])]
+        alpha = np.array(alphas, dtype=float)
+        return self._per_act(self.masses * (alpha * self.lows + (1.0 - alpha) * self.highs))
+
+
 class FocalSummary(NamedTuple):
-    """A lottery with each focal set read once, in ascending mask order.
+    """One lottery's focal cells as Python numbers, in ascending mask order.
 
     Per focal set: its mask and mass, its utilities in frame order, the
-    first of their minima (Python's ``min``; numpy's may flip the sign of
-    a zero) and the utilities in decreasing order, ties in frame order.
+    first of their minima and the utilities in decreasing order, ties in
+    frame order. Each criterion is that of the one-act :class:`FocalTable`.
     """
 
     frame: Frame
@@ -50,75 +152,41 @@ class FocalSummary(NamedTuple):
     @classmethod
     def of(cls, mu: MassFunction, u: UtilityTable) -> "FocalSummary":
         """Summarise the lottery ``(mu, u)``; the frames must match."""
-        mu._check_frame(u.frame)
-        masks, masses = zip(*mu.items())
-        values = [u.over(a) for a in masks]
-        return cls(mu.frame, masks, masses, values, [min(x) for x in values],
-                   [sorted(x, reverse=True) for x in values])
+        return _lottery(mu, u).summary(0)
 
-    def lower(self) -> float:
-        return math.fsum(map(mul, self.masses, self.lows))
+    def _score(self, criterion: Callable[..., list[float]], *params) -> float:
+        row = np.zeros((1, self.frame.size))  # utilities outside the focal sets are never read
+        for a, x in zip(self.masks, self.values):
+            row[0, list(iter_elements(a))] = x
+        table = FocalTable((self.frame,), (len(self.masks),), self.masks, self.masses, row)
+        return criterion(table, *params)[0]
 
-    def upper(self) -> float:
-        return math.fsum([v * x[0] for v, x in zip(self.masses, self.ordered)])
-
-    def pignistic(self) -> float:
-        try:
-            return math.fsum([v * math.fsum(x) / len(x) for v, x in zip(self.masses, self.values)])
-        except OverflowError:  # a focal set's utilities sum past the float range
-            raise ValueError("the pignistic expected utility overflows the float range") from None
-
-    def owa(self, beta: float) -> float:
-        _check_unit(beta, "degree of optimism")
-        return math.fsum([
-            v * x[0] if len(x) == 1
-            else v * math.fsum(map(mul, _owa_weights_cached(len(x), beta).w, x))
-            for v, x in zip(self.masses, self.ordered)
-        ])
-
-    def jaffray(self, index: LocalPessimismIndex) -> float:
-        labels, terms = self.frame.labels, []
-        for a, v, x, low, ordered in zip(self.masks, self.masses, self.values, self.lows,
-                                         self.ordered):
-            high = ordered[0]
-            # the worst and best consequences are the first of their ties in frame order
-            elements = list(iter_elements(a))
-            alpha = index(labels[elements[x.index(low)]], labels[elements[x.index(high)]])
-            terms.append(v * (alpha * low + (1.0 - alpha) * high))
-        return math.fsum(terms)
+    lower = functools.partialmethod(_score, FocalTable.lower)
+    upper = functools.partialmethod(_score, FocalTable.upper)
+    pignistic = functools.partialmethod(_score, FocalTable.pignistic)
+    owa = functools.partialmethod(_score, FocalTable.owa)
+    jaffray = functools.partialmethod(_score, FocalTable.jaffray)
 
 
 def summarize_rows(m: MassFunction, rows: Sequence[Sequence[float]]) -> list[FocalSummary]:
-    """The summary of every lottery ``(m, row)``, one array pass per focal set.
+    """The summary of every lottery ``(m, row)``: views of one :class:`FocalTable`."""
+    table = FocalTable.of_rows(m, rows)
+    return [table.summary(i) for i in range(len(rows))]
 
-    Each summary holds the same numbers, bit for bit, as
-    ``FocalSummary.of(m, UtilityTable(m.frame, row))``.
-    """
-    u = np.asarray(rows, dtype=float).reshape(len(rows), m.frame.size)
-    if not np.isfinite(u).all():
-        raise ValueError("utilities must be finite")
-    masks, masses = zip(*m.items())
-    act = np.arange(len(u))
-    values, lows, ordered = [], [], []
-    for a in masks:
-        cols = u[:, list(iter_elements(a))]
-        # argmin and a stable argsort keep the first of tied entries, as
-        # Python's min and sorted do, so each keeps the sign of its zero
-        values.append(cols.tolist())
-        lows.append(cols[act, cols.argmin(axis=1)].tolist())
-        ordered.append(cols[act[:, None], np.argsort(-cols, axis=1, kind="stable")].tolist())
-    return [FocalSummary(m.frame, masks, masses, x, low, o)
-            for x, low, o in zip(zip(*values), zip(*lows), zip(*ordered))]
+
+def _lottery(mu: MassFunction, u: UtilityTable) -> FocalTable:
+    mu._check_frame(u.frame)
+    return FocalTable.of_rows(mu, [u.values])
 
 
 def lower_expectation(mu: MassFunction, u: UtilityTable) -> float:
     """Mass-weighted average of the worst utility in each focal set."""
-    return FocalSummary.of(mu, u).lower()
+    return _lottery(mu, u).lower()[0]
 
 
 def upper_expectation(mu: MassFunction, u: UtilityTable) -> float:
     """Mass-weighted average of the best utility in each focal set."""
-    return FocalSummary.of(mu, u).upper()
+    return _lottery(mu, u).upper()[0]
 
 
 def hurwicz_blend(lower: float, upper: float, alpha: float) -> float:
@@ -134,8 +202,8 @@ def generalized_hurwicz(mu: MassFunction, u: UtilityTable, alpha: float) -> floa
     0 the upper.
     """
     _check_unit(alpha, "pessimism index")
-    summary = FocalSummary.of(mu, u)
-    return hurwicz_blend(summary.lower(), summary.upper(), alpha)
+    table = _lottery(mu, u)
+    return hurwicz_blend(table.lower()[0], table.upper()[0], alpha)
 
 
 def auto_hurwicz_alpha(mu: MassFunction) -> float:
@@ -152,7 +220,7 @@ def pignistic_expected_utility(mu: MassFunction, u: UtilityTable) -> float:
 
     Equals expected utility under the pignistic probability.
     """
-    return FocalSummary.of(mu, u).pignistic()
+    return _lottery(mu, u).pignistic()[0]
 
 
 def generalized_owa_expected_utility(mu: MassFunction, u: UtilityTable, beta: float) -> float:
@@ -164,7 +232,7 @@ def generalized_owa_expected_utility(mu: MassFunction, u: UtilityTable, beta: fl
     pignistic expected utility.
     """
     _check_unit(beta, "degree of optimism")
-    return FocalSummary.of(mu, u).owa(beta)
+    return _lottery(mu, u).owa(beta)[0]
 
 
 def generalized_minimax_regret(matrix: PayoffMatrix, m: MassFunction) -> tuple[float, ...]:
@@ -178,7 +246,7 @@ def generalized_minimax_regret(matrix: PayoffMatrix, m: MassFunction) -> tuple[f
     """
     m._check_frame(Frame(matrix.state_names))
     regret, _ = minimax_regret(matrix)
-    return tuple(s.upper() for s in summarize_rows(m, regret))
+    return tuple(FocalTable.of_rows(m, regret).upper())
 
 
 class SetUtility:
@@ -264,4 +332,4 @@ def jaffray_utility(mu: MassFunction, u: UtilityTable, index: LocalPessimismInde
     local pessimism index. A constant index reduces to the plain blended
     criterion.
     """
-    return FocalSummary.of(mu, u).jaffray(index)
+    return _lottery(mu, u).jaffray(index)[0]

@@ -51,7 +51,18 @@ class GoalSystem:
 
     @property
     def total_weight(self) -> float:
-        return math.fsum(self.weights)
+        return _finite_sum(self.weights, "total goal weight")
+
+
+def _finite_sum(terms: Iterable[float], what: str) -> float:
+    """``math.fsum(terms)``; a sum past the float range raises ``ValueError`` naming ``what``."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the {what} overflows the float range")
+    return total
 
 
 def goal_audit(system: GoalSystem) -> tuple[bool, bool]:
@@ -85,12 +96,10 @@ def deterministic_score(system: GoalSystem, effect: SubsetLike) -> Deterministic
     a_f = system.frame.subset(effect)
     if a_f == 0:
         raise ValueError("the act's effect must be a non-empty subset")
-    achieved = math.fsum(
-        w for g, w in zip(system.goals, system.weights) if a_f & ~g == 0
-    )
-    precluded = math.fsum(
-        w for g, w in zip(system.goals, system.weights) if a_f & g == 0
-    )
+    achieved = _finite_sum((w for g, w in zip(system.goals, system.weights) if a_f & ~g == 0),
+                           "achieved goal weight")
+    precluded = _finite_sum((w for g, w in zip(system.goals, system.weights) if a_f & g == 0),
+                            "precluded goal weight")
     return DeterministicScore(achieved, precluded, achieved - precluded)
 
 
@@ -108,10 +117,8 @@ def expected_score(system: GoalSystem, effect: MassFunction) -> ExpectedScore:
     expectations can be reconstructed.
     """
     effect._check_frame(system.frame)
-    score = math.fsum(
-        w * (belief(effect, g) + plausibility(effect, g))
-        for g, w in zip(system.goals, system.weights)
-    )
+    score = _finite_sum((w * (belief(effect, g) + plausibility(effect, g))
+                         for g, w in zip(system.goals, system.weights)), "expected goal score")
     return ExpectedScore(score, system.total_weight)
 
 
@@ -145,11 +152,15 @@ def classification_scores(
     if not all(0 < v < math.inf for v in w):
         raise ValueError("classification weights must be finite and strictly positive")
 
-    tail = np.array([math.fsum(w[k:]) for k in range(k_classes)])
+    tail = np.array([_finite_sum(w[k:], "classification goal weight") for k in range(k_classes)])
     bel, pl = _belief_plausibility(m)
     masks = range(1, len(bel))
     sizes = np.array([c.bit_count() for c in masks])
-    values = ((bel + pl)[1:] * tail[sizes - 1]).tolist()
+    try:
+        with np.errstate(over="raise"):
+            values = ((bel + pl)[1:] * tail[sizes - 1]).tolist()
+    except FloatingPointError:
+        raise ValueError("the classification scores overflow the float range") from None
     scores = dict(zip(masks, values))
     top = max(values)
     best = [c for c, v in scores.items() if v == top]

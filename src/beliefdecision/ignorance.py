@@ -35,7 +35,7 @@ class PayoffMatrix:
     ):
         acts = tuple(act_names)
         states = tuple(state_names)
-        rows = tuple(tuple(float(v) for v in row) for row in utilities)
+        rows = tuple(tuple(map(float, row)) for row in utilities)
         if len(rows) != len(acts):
             raise ValueError(f"{len(acts)} act names but {len(rows)} utility rows")
         if not acts or not states:
@@ -43,7 +43,7 @@ class PayoffMatrix:
         for name, row in zip(acts, rows):
             if len(row) != len(states):
                 raise ValueError(f"act {name!r} has {len(row)} utilities for {len(states)} states")
-            if not all(math.isfinite(v) for v in row):
+            if not all(map(math.isfinite, row)):
                 raise ValueError(f"act {name!r} has non-finite utilities")
         object.__setattr__(self, "act_names", acts)
         object.__setattr__(self, "state_names", states)
@@ -110,10 +110,13 @@ def minimax_regret(matrix: PayoffMatrix) -> tuple[tuple[tuple[float, ...], ...],
     """Regret matrix (column best minus entry) and each act's maximum regret.
 
     Lower maximum regret is better. Every column of the regret matrix
-    contains a zero.
+    contains a zero. Raises ``ValueError`` when a regret overflows the
+    float range.
     """
     u = matrix.as_array()
     regret = u.max(axis=0)[None, :] - u
+    if not np.isfinite(regret).all():
+        raise ValueError("the regrets overflow the float range")
     max_regret = regret.max(axis=1)
     return (
         tuple(tuple(float(v) for v in row) for row in regret),

@@ -84,7 +84,8 @@ def maximality_relation(
     member is exactly a gamble that some compatible probability rates
     at least as high as any single competitor. Elimination requires the
     strict inequality itself: a zero lower prevision of the difference
-    never eliminates, even when the reverse comparison fails.
+    never eliminates, even when the reverse comparison fails. Raises
+    ``ValueError`` when one of them overflows the float range.
     """
     if not gambles:
         raise ValueError("need at least one gamble")
@@ -96,13 +97,19 @@ def maximality_relation(
     # gamble i minus gamble j over it. argmin takes the first minimal
     # entry, as Python's min does; numpy's min may return -0.0 for 0.0.
     terms = np.empty((len(m), n, n))
-    for k, (a, v) in enumerate(m.items()):
-        cols = payoffs[:, list(iter_elements(a))]
-        diff = cols[:, None, :] - cols[None, :, :]
-        terms[k] = v * np.take_along_axis(diff, diff.argmin(axis=2)[..., None], axis=2)[..., 0]
-    # exact sums, one row at a time to keep few Python floats alive;
-    # the diagonal sums x - x = +0.0 terms, so it is exactly 0.0
-    delta = [[math.fsum(cell) for cell in terms[:, i, :].T.tolist()] for i in range(n)]
+    try:
+        with np.errstate(over="raise"):
+            for k, (a, v) in enumerate(m.items()):
+                cols = payoffs[:, list(iter_elements(a))]
+                diff = cols[:, None, :] - cols[None, :, :]
+                low = np.take_along_axis(diff, diff.argmin(axis=2)[..., None], axis=2)
+                terms[k] = v * low[..., 0]
+        # exact sums, one row at a time to keep few Python floats alive;
+        # the diagonal sums x - x = +0.0 terms, so it is exactly 0.0
+        delta = [[math.fsum(cell) for cell in terms[:, i, :].T.tolist()] for i in range(n)]
+    except (FloatingPointError, OverflowError):
+        raise ValueError("the lower previsions of the differences overflow the float "
+                         "range") from None
     table = [[i == j or delta[i][j] >= 0.0 for j in range(n)] for i in range(n)]
     relation = Relation(table)
     chosen = [
@@ -128,10 +135,14 @@ def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int)
     minimized; it reaches zero exactly when some compatible probability
     makes gamble ``i`` a best response.
     """
-    payoffs = np.array([g.payoffs for g in gambles])
+    return _build_lp(np.array([g.payoffs for g in gambles]), m, i, _allocation_layout(m))
+
+
+def _build_lp(payoffs: np.ndarray, m: MassFunction, i: int, layout: np.ndarray) -> LinearProgram:
+    """:func:`build_e_admissibility_lp` on a payoff matrix and ``m``'s allocation layout."""
     n, s = payoffs.shape
     masses = [v for _, v in m.items()]
-    states, focal = _allocation_layout(m).T
+    states, focal = layout.T
     n_alloc, n_focal = states.size, len(masses)
     alloc = np.arange(n_alloc)
     rhs = np.zeros(n_focal + s + n - 1)
@@ -174,8 +185,7 @@ def e_admissible(
         raise IndexError(f"gamble index {i} out of range")
     for g in gambles:
         m._check_frame(g.frame)
-    unit = _unit_range(gambles)
-    return _decide(unit, np.array([g.values for g in unit]), m, i, tol)
+    return _decide(np.array([g.values for g in _unit_range(gambles)]), m, i, tol)
 
 
 def _unit_range(gambles: Sequence[Gamble]) -> Sequence[Gamble]:
@@ -201,9 +211,8 @@ def _slack_totals(values: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     return np.maximum(values[None, :] - values[list(rows), None], 0.0).sum(axis=1)
 
 
-def _decide(
-    unit: Sequence[Gamble], payoffs: np.ndarray, m: MassFunction, i: int, tol: float
-) -> tuple[bool, tuple[float, ...] | None]:
+def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
+            tol: float) -> tuple[bool, tuple[float, ...] | None]:
     """The verdict and witness for gamble ``i`` of gambles already on [0, 1].
 
     Row generation: accept at the first point where the full program's
@@ -213,7 +222,7 @@ def _decide(
     else the competitor ahead by most there (lowest index on ties) joins.
     """
     p = _any_compatible_probability(m)
-    rival = int(np.where(np.arange(len(unit)) == i, -math.inf, payoffs @ p).argmax())
+    rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, payoffs @ p).argmax())
     # each focal mass on its state where gamble i gains most on its rival at p
     gain = payoffs[i] - payoffs[rival]
     vertex = [0.0] * m.frame.size
@@ -222,10 +231,10 @@ def _decide(
     for point in (p, tuple(vertex)):
         if _slack_totals(payoffs @ point, [i])[0] <= tol:
             return True, point
-    n_alloc = len(_allocation_layout(m))
-    rows = sorted([i, rival])
+    layout = _allocation_layout(m)
+    n_alloc, rows = len(layout), sorted([i, rival])
     while True:
-        result = simplex_solve(build_e_admissibility_lp([unit[r] for r in rows], m, rows.index(i)))
+        result = simplex_solve(_build_lp(payoffs[rows], m, rows.index(i), layout))
         if result.status != "optimal":
             raise SolverError(
                 f"e-admissibility program ended with status {result.status!r}; "
@@ -235,7 +244,7 @@ def _decide(
             return False, None
         witness = tuple(result.x[n_alloc : n_alloc + m.frame.size])
         values = payoffs @ witness
-        if len(rows) == len(unit) or _slack_totals(values, [i])[0] <= tol:
+        if len(rows) == len(payoffs) or _slack_totals(values, [i])[0] <= tol:
             return True, witness
         values[rows] = -math.inf
         rows = sorted([*rows, int(values.argmax())])
@@ -261,13 +270,12 @@ def e_admissible_set(
     ``tol``, so members often share a witness.
     """
     _, _, candidates = maximality_relation(gambles, m)
-    unit = _unit_range(gambles)
-    payoffs = np.array([g.values for g in unit])
+    payoffs = np.array([g.values for g in _unit_range(gambles)])
     witnesses: dict[int, tuple[float, ...]] = {}
     for k, i in enumerate(candidates):
         if i in witnesses:
             continue
-        verdict, witness = _decide(unit, payoffs, m, i, tol)
+        verdict, witness = _decide(payoffs, m, i, tol)
         if verdict:
             witnesses[i] = witness
             later = [j for j in candidates[k + 1 :] if j not in witnesses]

@@ -35,8 +35,10 @@ import sys
 from dataclasses import dataclass
 from typing import Any, IO
 
+import numpy as np
+
 from .core import Act, Frame, MassFunction, UtilityTable, pushforward
-from .criteria import FocalSummary, LocalPessimismIndex, summarize_rows
+from .criteria import FocalTable, LocalPessimismIndex
 from .errors import BeliefDecisionError, FrameMismatchError, ValidationError
 from .goals import GoalSystem
 from .ignorance import PayoffMatrix
@@ -99,20 +101,41 @@ class DecisionProblem:
             raise ValidationError("consequence-mapped acts need a utility table")
         return pushforward(m, act), self.utilities
 
-    def summaries(self) -> list[FocalSummary]:
-        """The focal summary of every act's lottery, in act order.
+    def focal_table(self) -> FocalTable:
+        """Every act's lottery, in act order, as :meth:`lottery` gives it.
 
-        Each act's lottery is built once. Acts given as utility rows
-        share the state mass, so their lotteries are summarised together.
+        A row act's cells are the focal sets. A consequence-mapped act's
+        cell for a focal set is the union of its images over the set, taken
+        for all such acts at once from one acts × states image matrix; its
+        equal images merge with plain ``+`` in focal order and ascending
+        image order, as :func:`pushforward` merges them.
         """
-        lotteries = [self.lottery(i) for i in range(self.n_acts)]
-        row_acts = [i for i, act in enumerate(self.acts) if act is None]
-        by_act = {}
-        if row_acts:
-            rows = [lotteries[i][1].values for i in row_acts]
-            by_act = dict(zip(row_acts, summarize_rows(self.mass, rows)))
-        return [by_act[i] if i in by_act else FocalSummary.of(*lotteries[i])
-                for i in range(self.n_acts)]
+        m = self.require_mass()
+        mapped = [act.images for act in self.acts if act is not None]
+        if mapped and self.utilities is None:
+            raise ValidationError("consequence-mapped acts need a utility table")
+        rows = [self.lottery(i)[1].values for i, act in enumerate(self.acts) if act is None]
+        if not mapped:
+            return FocalTable.of_rows(m, rows)
+        focal, s = list(m.items()), self.states.size
+        inside = np.array(m.focal_sets())[:, None] >> np.arange(s) & 1 == 1
+        unions = np.bitwise_or.reduce(np.where(inside, np.array(mapped)[:, None, :], 0), axis=2)
+        unions, rows, width = iter(unions.tolist()), iter(rows), max(s, self.consequences.size)
+        frames, sizes, cells, utilities = [], [], [], []
+        for act in self.acts:
+            if act is None:
+                own, frame, row = focal, self.states, next(rows)
+            else:
+                merged: dict[int, float] = {}
+                for image, (_, v) in zip(next(unions), focal):
+                    merged[image] = merged.get(image, 0.0) + v
+                own, frame, row = sorted(merged.items()), self.consequences, self.utilities.values
+            frames.append(frame)
+            sizes.append(len(own))
+            cells += own
+            utilities.append(row + (0.0,) * (width - len(row)))
+        masks, masses = zip(*cells)
+        return FocalTable(frames, sizes, masks, masses, np.array(utilities))
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-ready form; re-parses to an equivalent problem."""
@@ -177,9 +200,15 @@ def parse_number(value: Any, what: str) -> float:
     that Python's JSON reader accepts, like integers beyond the float
     range, are not finite numbers.
     """
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max, f"{what} must be a finite number")
-    return float(value)
+    return _parse_numbers([value], what)[0]
+
+
+def _parse_numbers(values: list, what: str) -> tuple[float, ...]:
+    """Every entry as :func:`parse_number` parses it, checked in one pass."""
+    top = sys.float_info.max
+    _expect(all(isinstance(v, (int, float)) and not isinstance(v, bool) and -top <= v <= top
+                for v in values), f"{what} must be a finite number")
+    return tuple(map(float, values))
 
 
 def _check_fields(doc: Any, what: str, required: tuple[str, ...],
@@ -210,13 +239,13 @@ def _parse_subset(value: Any, frame: Frame, where: str) -> int:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _parse_act_name(entry: Any, pos: int, names: list[str]) -> str:
-    """The unique, non-empty name of ``acts[pos]``, appended to ``names``."""
+def _parse_act_name(entry: Any, pos: int, names: dict[str, None]) -> str:
+    """The unique, non-empty name of ``acts[pos]``, added to ``names``."""
     _expect(isinstance(entry, dict), f"acts[{pos}] must be an object")
     name = entry.get("name")
     _expect(isinstance(name, str) and name, f"acts[{pos}] needs a non-empty 'name'")
     _expect(name not in names, f"duplicate act name {name!r}")
-    names.append(name)
+    names[name] = None
     return name
 
 
@@ -262,7 +291,7 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
 
     acts_doc = doc["acts"]
     _expect(isinstance(acts_doc, list) and acts_doc, "'acts' must be a non-empty list")
-    names: list[str] = []
+    names: dict[str, None] = {}
     rows: list[tuple[float, ...] | None] = []
     acts: list[Act | None] = []
     for pos, entry in enumerate(acts_doc):
@@ -280,7 +309,7 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
                 len(row) == states.size,
                 f"act {name!r} has {len(row)} utilities for {states.size} states",
             )
-            rows.append(tuple(parse_number(v, f"act {name!r}: every utility") for v in row))
+            rows.append(_parse_numbers(row, f"act {name!r}: every utility"))
             acts.append(None)
         else:
             _expect(
@@ -351,7 +380,7 @@ def parse_goal_file(doc: Any) -> tuple[GoalSystem, list[tuple[str, int | MassFun
 
     acts_doc = doc.get("acts", [])
     _expect(isinstance(acts_doc, list), "'acts' must be a list")
-    names: list[str] = []
+    names: dict[str, None] = {}
     effects: list[tuple[str, int | MassFunction]] = []
     for pos, entry in enumerate(acts_doc):
         name = _parse_act_name(entry, pos, names)
