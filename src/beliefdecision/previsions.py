@@ -4,8 +4,11 @@ A gamble is a real payoff per state. A mass function on the states
 induces lower/upper previsions (expectations bounds over the set of
 compatible probabilities); on top of these sit the maximality relation
 (nonnegative lower prevision of the difference) and e-admissibility
-(some single compatible probability makes the gamble a best response),
-the latter decided by linear programs in allocation variables.
+(some single compatible probability makes the gamble a best response).
+E-admissibility is decided by row generation over linear programs that
+start at a credal vertex, each focal mass on one of its states, and
+move mass off it by transfers; the allocation program of
+:func:`build_e_admissibility_lp` is kept for inspection and reference.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ def e_admissible(
     slack total at the witness, the sum over all n-1 competitors of how
     far each beats gamble ``i``, as a fraction of the utility range
     (largest payoff minus smallest). The witness is the first point
-    found that meets it, often a vertex of the credal set.
+    found that meets it: one compatible probability, one credal vertex,
+    or that vertex with some mass transferred off it.
     Raises ``ValueError`` when that range overflows to infinity. Solver
     failures raise :class:`SolverError`; they are never reported as
     inadmissibility.
@@ -217,37 +221,108 @@ def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
 
     Row generation: accept at the first point where the full program's
     objective is at most ``tol``, trying one compatible probability, one
-    credal vertex, then the witnesses of programs over the competitors
-    met so far. One above ``tol`` rejects (more rows cannot lower it);
-    else the competitor ahead by most there (lowest index on ties) joins.
+    credal vertex, then the witnesses of vertex programs over the
+    competitors met so far. A slack total over those competitors above
+    ``tol`` at such a witness rejects (it is that program's optimum, and
+    more rows cannot lower it); else the competitor ahead by most there
+    (lowest index on ties) joins.
     """
     p = _any_compatible_probability(m)
     rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, payoffs @ p).argmax())
-    # each focal mass on its state where gamble i gains most on its rival at p
-    gain = payoffs[i] - payoffs[rival]
+    top = _vertex_states(payoffs[i] - payoffs[rival], m)
     vertex = [0.0] * m.frame.size
-    for a, v in m.items():
-        vertex[max(iter_elements(a), key=lambda k: (gain[k], -k))] += v
+    for k, (_, v) in zip(top, m.items()):
+        vertex[k] += v
     for point in (p, tuple(vertex)):
         if _slack_totals(payoffs @ point, [i])[0] <= tol:
             return True, point
-    layout = _allocation_layout(m)
-    n_alloc, rows = len(layout), sorted([i, rival])
+    layout, rows = _transfer_layout(m, top), sorted([i, rival])
     while True:
-        result = simplex_solve(_build_lp(payoffs[rows], m, rows.index(i), layout))
-        if result.status != "optimal":
-            raise SolverError(
-                f"e-admissibility program ended with status {result.status!r}; "
-                "this program is feasible and bounded by construction"
-            )
-        if result.objective > tol:
-            return False, None
-        witness = tuple(result.x[n_alloc : n_alloc + m.frame.size])
+        witness = _vertex_witness(payoffs[rows], m, rows.index(i), top, layout)
         values = payoffs @ witness
+        if _slack_totals(values[rows], [rows.index(i)])[0] > tol:
+            return False, None
         if len(rows) == len(payoffs) or _slack_totals(values, [i])[0] <= tol:
             return True, witness
         values[rows] = -math.inf
         rows = sorted([*rows, int(values.argmax())])
+
+
+def _vertex_states(gain: np.ndarray, m: MassFunction) -> list[int]:
+    """Per focal set, its state of greatest ``gain``, the lowest on ties.
+
+    In :func:`_decide` the gain is gamble i's lead on its rival at one
+    compatible probability, the competitor with the highest expectation
+    there (lowest index on ties).
+    """
+    return [max(iter_elements(a), key=lambda k: (gain[k], -k)) for a, _ in m.items()]
+
+
+def _transfer_layout(m: MassFunction, top: Sequence[int]) -> np.ndarray:
+    """The rows of ``m``'s allocation layout off each focal set's vertex
+    state in ``top``, one per transfer."""
+    layout = _allocation_layout(m)
+    return layout[layout[:, 0] != np.asarray(top)[layout[:, 1]]]
+
+
+def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
+                    layout: np.ndarray) -> LinearProgram:
+    """Gamble ``i``'s slack-total program over the rows of ``payoffs``, started
+    at the credal vertex v that puts each focal mass on its state in ``top``.
+
+    Variables: one transfer per row of ``layout`` (see
+    :func:`_transfer_layout`), moving that much of the focal set's mass
+    from its vertex state to the state, then one slack z per competitor.
+    A focal set sends at most its mass. With h = competitor minus gamble
+    ``i`` and p = v plus the transfers, a competitor with h.v <= 0 has
+    the row h.p <= z and costs z; one with h.v > 0 has the row
+    -h.p <= z and costs h.p - h.v + z, since max(0, x) = x + max(0, -x).
+    Every row is ``<=`` with rhs a mass or |h.v|, so the all-slack basis
+    is feasible and the simplex runs no phase one.
+    """
+    top = np.array(top, dtype=np.intp)
+    states, focal = layout.T
+    masses = np.array([v for _, v in m.items()])
+    h = np.delete(payoffs, i, axis=0) - payoffs[i]
+    hv = h[:, top] @ masses
+    # moved[l, t]: how much transfer t raises h_l.p per unit
+    moved = h[:, states] - h[:, top[focal]]
+    ahead = hv > 0.0
+    # a focal set with no transfers (a singleton) needs no row
+    senders, focal_row = np.unique(focal, return_inverse=True)
+    n_t, n_z, n_f = states.size, len(h), senders.size
+    lhs = np.zeros((n_f + n_z, n_t + n_z))
+    lhs[focal_row, np.arange(n_t)] = 1.0
+    lhs[n_f:, :n_t] = np.where(ahead[:, None], -moved, moved)
+    lhs[n_f:, n_t:] = -np.eye(n_z)
+    objective = np.concatenate([moved[ahead].sum(axis=0), np.ones(n_z)])
+    rhs = np.concatenate([masses[senders], np.abs(hv)])
+    return LinearProgram(objective, lhs, ("<=",) * rhs.size, rhs)
+
+
+def _vertex_witness(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
+                    layout: np.ndarray) -> tuple[float, ...]:
+    """The probability at the optimum of :func:`_vertex_program`.
+
+    Each focal set keeps on its vertex state what it does not transfer,
+    max(0, mass - fsum of its transfers), and adds each transfer to its
+    state.
+    """
+    result = simplex_solve(_vertex_program(payoffs, m, i, top, layout))
+    if result.status != "optimal":
+        raise SolverError(
+            f"e-admissibility program ended with status {result.status!r}; "
+            "this program is feasible and bounded by construction"
+        )
+    sent: list[list[tuple[int, float]]] = [[] for _ in top]
+    for (k, j), amount in zip(layout.tolist(), result.x):
+        sent[j].append((k, max(0.0, amount)))
+    witness = [0.0] * m.frame.size
+    for k, (_, v), moves in zip(top, m.items(), sent):
+        witness[k] += max(0.0, v - math.fsum(amount for _, amount in moves))
+        for state, amount in moves:
+            witness[state] += amount
+    return tuple(witness)
 
 
 def _any_compatible_probability(m: MassFunction) -> tuple[float, ...]:

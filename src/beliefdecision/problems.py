@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, IO
+from typing import Any, Callable, IO
 
 import numpy as np
 
@@ -230,13 +230,18 @@ def _parse_labels(value: Any, key: str) -> Frame:
     return Frame(value)
 
 
-def _parse_subset(value: Any, frame: Frame, where: str) -> int:
-    """A non-empty list of labels of ``frame`` (all strings) as a bitmask."""
-    _expect(isinstance(value, list) and value, f"{where} must be a non-empty list of labels")
+def _parse_subset(value: Any, frame: Frame, where: Callable[[], str]) -> int:
+    """A non-empty list of labels of ``frame`` (all strings) as a bitmask.
+
+    ``where()`` names the entry in an error message; it is called only
+    when the entry is invalid, so valid entries format no location.
+    """
+    if not (isinstance(value, list) and value):
+        raise ValidationError(f"{where()} must be a non-empty list of labels")
     try:
         return frame.subset(value)
     except FrameMismatchError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise ValidationError(f"{where()}: {exc}") from None
 
 
 def _parse_act_name(entry: Any, pos: int, names: dict[str, None]) -> str:
@@ -257,7 +262,7 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
         _expect(isinstance(entry, dict), f"{where}[{pos}] must be an object")
         _expect("focal" in entry and "mass" in entry,
                 f"{where}[{pos}] needs 'focal' and 'mass' fields")
-        mask = _parse_subset(entry["focal"], frame, f"{where}[{pos}].focal")
+        mask = _parse_subset(entry["focal"], frame, lambda: f"{where}[{pos}].focal")
         value = parse_number(entry["mass"], f"{where}[{pos}].mass")
         masses[mask] = masses.get(mask, 0.0) + value
     total = math.fsum(masses.values())
@@ -323,7 +328,7 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
             unknown = [s for s in mapping if s not in states.labels]
             _expect(not unknown, f"act {name!r} names unknown states {unknown!r}")
             images = tuple(
-                _parse_subset(mapping[s], consequences, f"act {name!r}, state {s!r}")
+                _parse_subset(mapping[s], consequences, lambda: f"act {name!r}, state {s!r}")
                 for s in states.labels
             )
             act = Act(name, states, consequences, images)
@@ -371,7 +376,7 @@ def parse_goal_file(doc: Any) -> tuple[GoalSystem, list[tuple[str, int | MassFun
     for pos, entry in enumerate(goals_doc):
         _expect(isinstance(entry, dict) and "elements" in entry,
                 f"goals[{pos}] must be an object with 'elements'")
-        goals.append(_parse_subset(entry["elements"], frame, f"goals[{pos}].elements"))
+        goals.append(_parse_subset(entry["elements"], frame, lambda: f"goals[{pos}].elements"))
         weights.append(parse_number(entry.get("weight", 1.0), f"goals[{pos}].weight"))
     try:
         system = GoalSystem(frame, goals, weights)
@@ -387,7 +392,7 @@ def parse_goal_file(doc: Any) -> tuple[GoalSystem, list[tuple[str, int | MassFun
         _expect(("certain" in entry) != ("mass" in entry),
                 f"act {name!r} must give either 'certain' or 'mass'")
         if "certain" in entry:
-            effect = _parse_subset(entry["certain"], frame, f"act {name!r}: 'certain'")
+            effect = _parse_subset(entry["certain"], frame, lambda: f"act {name!r}: 'certain'")
         else:
             effect = parse_mass(entry["mass"], frame, where=f"acts[{pos}].mass")
         effects.append((name, effect))

@@ -161,6 +161,35 @@ def test_rejected_with_validation_error(tmp_path, capsys, kind, doc):
     assert err.startswith("validation error: ")
 
 
+def _with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# one bad subset per place a subset is parsed; the message names where it is
+SUBSET_ERRORS = [
+    ("mapped", ("acts", 0, "consequences", "w2"), [],
+     "act 'f', state 'w2' must be a non-empty list of labels"),
+    ("mapped", ("acts", 0, "consequences", "w2"), ["c9"],
+     "act 'f', state 'w2': label 'c9' is not in the frame ('c1', 'c2')"),
+    ("problem", ("mass", 1, "focal"), ["w3"],
+     "mass[1].focal: label 'w3' is not in the frame ('w1', 'w2')"),
+    ("goals", ("goals", 1, "elements"), "t1", "goals[1].elements must be a non-empty list of labels"),
+    ("goals", ("acts", 0, "certain"), ["t1", 3],
+     "act 'sure': 'certain': label 3 is not in the frame ('t1', 't2')"),
+]
+
+
+@pytest.mark.parametrize("kind,path,value,message", SUBSET_ERRORS)
+def test_subset_error_messages(tmp_path, capsys, kind, path, value, message):
+    code, err = run(tmp_path, kind, _with(KINDS[kind][0], path, value), capsys)
+    assert (code, err) == (2, f"validation error: {message}\n")
+
+
 def test_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
