@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -39,6 +39,12 @@ from .errors import (
 MAX_FRAME_SIZE = 24
 MASS_SUM_TOL = 1e-9
 MOBIUS_NEG_TOL = 1e-9
+# below this many cells, math.fsum per cell beats exact_sums
+EXACT_SUM_MIN_CELLS = 256
+# partial sums of terms whose magnitudes sum below the cap cannot overflow, in
+# exact_sums or in math.fsum; results below the floor are left to math.fsum
+_SUM_CAP = 2.0**1020
+_SUM_FLOOR = 2.0**-900
 
 SubsetLike = Union[int, Iterable[str]]
 
@@ -278,6 +284,79 @@ def _moebius(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_zeta`: alternating-sign sums over submasks, correctly rounded."""
     ints, shift = _to_fixed(values)
     return _to_float(_butterfly(ints, np.subtract), shift)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, err: np.ndarray,
+             z: np.ndarray) -> None:
+    """``out`` = a + b rounded and ``err`` = its exact error, elementwise
+    (Knuth), barring overflow; ``z`` is scratch. ``err`` may be ``b``."""
+    np.add(a, b, out=out)
+    np.subtract(out, a, out=z)
+    np.subtract(b, z, out=err)
+    np.subtract(out, z, out=z)
+    np.subtract(a, z, out=z)
+    err += z
+
+
+def exact_sums(steps: Iterable[np.ndarray],
+               rows_of: Callable[[tuple[np.ndarray, ...]], Iterable[Iterable[float]]]
+               ) -> np.ndarray:
+    """``math.fsum`` of the terms of every cell of an array, bit for bit,
+    from a few array passes.
+
+    ``steps`` yields equally shaped arrays, the k-th holding every
+    cell's k-th term, though the sign of a zero term may be wrong there.
+    ``rows_of(index)`` gives the exact terms of the cells at an
+    ``np.nonzero`` index, one row per cell, for the cells that
+    ``math.fsum`` sums on their own terms: those the kernel cannot
+    certify, and every zero or tiny total (a zero's sign may follow those
+    of zero terms). ``rows_of`` must raise what reading ``steps`` raises.
+    The kernel keeps per cell a running TwoSum, a TwoSum of its exact
+    errors and the plain and absolute sums of their errors (Ogita, Rump
+    & Oishi 2005). The rounded total is the correctly rounded sum,
+    ties to even, when the residual is known exactly or lies within
+    half a spacing of it by more than twice its error bound. When the
+    terms could overflow a partial sum every cell goes to
+    ``math.fsum``, so it raises ``OverflowError`` as before. Its fixed
+    cost per step loses to ``math.fsum`` on arrays of fewer than
+    :data:`EXACT_SUM_MIN_CELLS` cells, which callers sum themselves.
+    """
+    steps = iter(steps)
+    s = np.array(next(steps), dtype=float)
+    count, reach = 1, float(max(s.max(), -s.min()))
+    c, d, a, e, t, z = (np.zeros_like(s) for _ in range(6))
+    for x in steps:
+        count += 1
+        reach += float(max(x.max(), -x.min()))
+        if reach < _SUM_CAP:  # else no cell is summed here, but steps is still read
+            _two_sum(s, x, t, e, z)
+            s, t = t, s
+            _two_sum(c, e, t, e, z)
+            c, t = t, c
+            d += e
+            a += np.abs(e, out=e)
+    if not reach < _SUM_CAP:
+        return _fsum_cells(np.ones(s.shape, dtype=bool), rows_of, s)
+    r, w, v = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    _two_sum(s, c, r, t, z)
+    _two_sum(t, d, w, v, z)
+    exact = (v == 0.0) & (a == 0.0)
+    gap = np.where(w >= 0.0, np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf))
+    room = 0.5 * gap - np.abs(w)
+    sums = np.where(exact, r + w, r)
+    sure = (exact | (room > 2.0 * (np.abs(v) + a * (count * 2.0**-51))))
+    sure &= np.abs(sums) >= _SUM_FLOOR
+    return _fsum_cells(~sure, rows_of, sums)
+
+
+def _fsum_cells(cells: np.ndarray, rows_of, sums: np.ndarray) -> np.ndarray:
+    """``sums`` with the marked ``cells`` set to ``math.fsum`` of their rows, a
+    block of cells at a time."""
+    index = np.nonzero(cells)
+    for at in range(0, index[0].size, 4096):
+        block = tuple(ix[at : at + 4096] for ix in index)
+        sums[block] = [math.fsum(row) for row in rows_of(block)]
+    return sums
 
 
 def _mass_vector(m: MassFunction) -> np.ndarray:

@@ -17,7 +17,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Frame, MassFunction, UtilityTable, iter_elements, nonspecificity
+from .core import (EXACT_SUM_MIN_CELLS, Frame, MassFunction, UtilityTable, exact_sums,
+                   iter_elements, nonspecificity)
 from .ignorance import OwaWeights, PayoffMatrix, max_entropy_owa_weights, minimax_regret
 
 
@@ -41,7 +42,9 @@ class FocalTable:
     and maximum in frame order (``argmin`` and ``argmax`` keep the sign of
     a zero, as ``min`` does). A criterion gives each act the ``math.fsum``
     of its cells' terms, which numpy forms with the rounding of Python's
-    ``*``.
+    ``*``. The sums within cells that ``pignistic`` and ``owa`` need have
+    ``math.fsum``'s bits too: a table of ``EXACT_SUM_MIN_CELLS`` cells or
+    more gets them from the array passes of :func:`exact_sums`.
     """
 
     def __init__(self, frames: Sequence[Frame], sizes: Sequence[int], masks: Sequence[int],
@@ -90,8 +93,17 @@ class FocalTable:
         return self._fsums(terms.tolist(), self.starts)
 
     def _cell_sums(self, terms: np.ndarray) -> np.ndarray:
-        """``math.fsum`` of each cell's own entries of ``terms``, the padding left out."""
-        return np.array(self._fsums(terms[~self._pad].tolist(), self._bounds))
+        """``math.fsum`` of each cell's own entries of ``terms``, the padding left out.
+
+        From ``EXACT_SUM_MIN_CELLS`` cells on, :func:`exact_sums` reads
+        whole columns: the +0.0 padding changes no sum but a zero, which
+        goes to ``math.fsum`` with the cell's own entries.
+        """
+        if len(terms) < EXACT_SUM_MIN_CELLS:
+            return np.array(self._fsums(terms[~self._pad].tolist(), self._bounds))
+        columns = np.ascontiguousarray(terms[:, : self.counts.max()].T)
+        return exact_sums(columns, lambda cells: [
+            row[:k] for row, k in zip(terms[cells].tolist(), self.counts[cells].tolist())])
 
     def summary(self, i: int) -> "FocalSummary":
         """Act i's cells as Python numbers."""

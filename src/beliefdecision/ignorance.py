@@ -9,6 +9,7 @@ maximum-entropy weights for a prescribed degree of optimism.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -180,7 +181,8 @@ def max_entropy_owa_weights(s: int, beta: float) -> OwaWeights:
     if beta == 0.5:
         return OwaWeights((1.0 / s,) * s)
 
-    q = np.array([(s - i) / (s - 1) for i in range(1, s + 1)])
+    ranks = [(s - i) / (s - 1) for i in range(1, s + 1)]
+    q = np.array(ranks)
 
     def optimism(lam: float) -> float:
         z = lam * q
@@ -189,15 +191,39 @@ def max_entropy_owa_weights(s: int, beta: float) -> OwaWeights:
         w /= w.sum()
         return float(w @ q)
 
+    def moments(lam: float) -> tuple[float, float]:
+        """A float evaluation of optimism(lam) and of its derivative in lam."""
+        z = [lam * r for r in ranks]
+        top = max(z)
+        w = [math.exp(v - top) for v in z]
+        total = math.fsum(w)
+        mean = math.fsum(map(operator.mul, w, ranks)) / total
+        return mean, math.fsum(x * r * r for x, r in zip(w, ranks)) / total - mean * mean
+
+    # both evaluations form z alike; each exp is taken to be within 2**-40
+    # of exp(z) relative, so each is within margin / 2 of the exact value
+    margin = 4.0 * 2.0**-40 + (4 * s + 16) * 2.0**-52
+
+    def side(lam: float) -> int:
+        """The sign of optimism(lam) - beta: from the float evaluation
+        unless that lies within ``margin`` of beta."""
+        value = moments(lam)[0]
+        if abs(value - beta) <= margin:
+            value = optimism(lam)
+        return (value > beta) - (value < beta)
+
     # the bracket doubles until it contains beta, which large arities need
     lo, hi = -200.0, 200.0
-    while optimism(lo) > beta:
+    while side(lo) > 0:
         lo *= 2.0
-    while optimism(hi) < beta:
+    while side(hi) < 0:
         hi *= 2.0
+    # the bisection replays optimism's decisions; as optimism increases, they
+    # are known outside a window whose ends are on their sides of beta
+    low_end, high_end = _optimism_window(moments, beta, margin, lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if optimism(mid) < beta:
+        if mid <= low_end or (mid < high_end and side(mid) < 0):
             lo = mid
         else:
             hi = mid
@@ -213,3 +239,31 @@ def max_entropy_owa_weights(s: int, beta: float) -> OwaWeights:
     if missed > OPTIMISM_TOL:
         raise SolverError(f"OWA weights miss the degree of optimism {beta} by {missed:g}")
     return weights
+
+
+def _optimism_window(moments, beta: float, margin: float, lo: float,
+                     hi: float) -> tuple[float, float]:
+    """(a, b) in [lo, hi] with the float optimism below beta - margin at a
+    and above beta + margin at b, around the root that a Newton iteration
+    safeguarded by bisection finds; (lo, hi) when the window would not be
+    narrower. Every optimism evaluation within margin / 2 of the exact
+    value is then below beta up to a and above it from b on.
+    """
+    lam, left, right = 0.0, lo, hi
+    for _ in range(60):
+        value, slope = moments(lam)
+        if value < beta:
+            left = lam
+        else:
+            right = lam
+        step = lam - (value - beta) / slope if slope > 0.0 else lam
+        previous, lam = lam, step if left < step < right else 0.5 * (left + right)
+        if abs(lam - previous) <= 1e-10 * (1.0 + abs(lam)):
+            break
+    width = 1e-10 * (1.0 + abs(lam))
+    while lo < lam - width and lam + width < hi:
+        if (moments(lam - width)[0] < beta - margin
+                and moments(lam + width)[0] > beta + margin):
+            return lam - width, lam + width
+        width *= 16.0
+    return lo, hi

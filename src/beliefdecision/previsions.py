@@ -5,20 +5,24 @@ induces lower/upper previsions (expectations bounds over the set of
 compatible probabilities); on top of these sit the maximality relation
 (nonnegative lower prevision of the difference) and e-admissibility
 (some single compatible probability makes the gamble a best response).
-E-admissibility is decided by row generation over linear programs that
-start at a credal vertex, each focal mass on one of its states, and
-move mass off it by transfers; the allocation program of
+The maximality matrix sums one term per focal set in each cell, with
+``math.fsum``'s bits, from array passes (:func:`core.exact_sums`) in
+O(n²) memory. E-admissibility is decided by row generation over linear
+programs that start at a credal vertex, each focal mass on one of its
+states, and move mass off it by transfers; a round in which no active
+competitor is ahead at that vertex solves no program, since the vertex
+is its optimum. The allocation program of
 :func:`build_e_admissibility_lp` is kept for inspection and reference.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import MassFunction, UtilityTable, iter_elements
+from .core import EXACT_SUM_MIN_CELLS, MassFunction, UtilityTable, exact_sums, iter_elements
 from .criteria import lower_expectation, upper_expectation
 from .errors import FrameMismatchError, SolverError
 from .relations import Relation
@@ -95,30 +99,66 @@ def maximality_relation(
     for g in gambles:
         m._check_frame(g.frame)
     n = len(gambles)
-    payoffs = np.array([g.values for g in gambles])
-    # terms[k, i, j] is the mass of focal set k times the minimum of
-    # gamble i minus gamble j over it. argmin takes the first minimal
-    # entry, as Python's min does; numpy's min may return -0.0 for 0.0.
-    terms = np.empty((len(m), n, n))
+    payoffs = np.array([g.values for g in gambles]).T.copy()  # one row per state
+    rows = np.arange(n)
+    # the sums read only values; a zero sum, where a zero's sign matters,
+    # is summed again from its own signed terms
     try:
         with np.errstate(over="raise"):
-            for k, (a, v) in enumerate(m.items()):
-                cols = payoffs[:, list(iter_elements(a))]
-                diff = cols[:, None, :] - cols[None, :, :]
-                low = np.take_along_axis(diff, diff.argmin(axis=2)[..., None], axis=2)
-                terms[k] = v * low[..., 0]
-        # exact sums, one row at a time to keep few Python floats alive;
-        # the diagonal sums x - x = +0.0 terms, so it is exactly 0.0
-        delta = [[math.fsum(cell) for cell in terms[:, i, :].T.tolist()] for i in range(n)]
+            steps = _mass_minimum_differences(payoffs, m, rows[:, None], rows[None, :],
+                                              signed_zeros=False)
+            if n * n >= EXACT_SUM_MIN_CELLS:
+                delta = exact_sums(steps, lambda cells: _cell_terms(payoffs, m, *cells))
+            else:
+                terms = np.reshape(list(steps), (len(m), n * n)).T.tolist()
+                delta = np.reshape([math.fsum(row) for row in terms], (n, n))
+                zero = np.nonzero(delta == 0.0)
+                delta[zero] = [math.fsum(row) for row in _cell_terms(payoffs, m, *zero)]
     except (FloatingPointError, OverflowError):
         raise ValueError("the lower previsions of the differences overflow the float "
                          "range") from None
-    table = [[i == j or delta[i][j] >= 0.0 for j in range(n)] for i in range(n)]
-    relation = Relation(table)
-    chosen = [
-        i for i in range(n) if not any(delta[j][i] > 0.0 for j in range(n) if j != i)
-    ]
-    return delta, relation, chosen
+    weak = delta >= 0.0
+    np.fill_diagonal(weak, True)
+    chosen = np.flatnonzero(~(delta > 0.0).any(axis=0)).tolist()
+    return delta.tolist(), Relation(weak.tolist()), chosen
+
+
+def _cell_terms(payoffs: np.ndarray, m: MassFunction, rows: np.ndarray,
+                cols: np.ndarray) -> list[list[float]]:
+    """The terms of cells (rows[c], cols[c]) of the maximality matrix, one
+    list per cell; a diagonal cell sums x - x = +0.0 terms."""
+    terms = np.zeros((rows.size, len(m)))
+    off = rows != cols
+    if off.any():
+        terms[off] = np.array(list(_mass_minimum_differences(payoffs, m, rows[off],
+                                                             cols[off]))).T
+    return terms.tolist()
+
+
+def _mass_minimum_differences(payoffs: np.ndarray, m: MassFunction, rows: np.ndarray,
+                              cols: np.ndarray, *,
+                              signed_zeros: bool = True) -> Iterator[np.ndarray]:
+    """Per focal set of ``m``, its mass times the minimum over its states k
+    of ``payoffs[k][rows] - payoffs[k][cols]``, one row of ``payoffs`` per state.
+
+    With ``signed_zeros`` the minimum is the first minimal entry in
+    state order, as Python's ``min`` takes it, so the sign of a zero
+    survives; else a zero's sign is left to ``np.minimum``. The values
+    are the same either way. One state's differences are held at a
+    time: forming them again costs less than reading them back.
+    """
+    diff = None
+    for a, v in m.items():
+        states = iter_elements(a)
+        k = next(states)
+        low = payoffs[k][rows] - payoffs[k][cols]
+        for k in states:
+            diff = np.subtract(payoffs[k][rows], payoffs[k][cols], out=diff)
+            if signed_zeros:
+                low = np.where(diff < low, diff, low)
+            else:
+                np.minimum(low, diff, out=low)
+        yield np.multiply(v, low, out=low)
 
 
 def _allocation_layout(m: MassFunction) -> np.ndarray:
@@ -225,21 +265,31 @@ def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
     competitors met so far. A slack total over those competitors above
     ``tol`` at such a witness rejects (it is that program's optimum, and
     more rows cannot lower it); else the competitor ahead by most there
-    (lowest index on ties) joins.
+    (lowest index on ties) joins. When no active competitor is ahead at
+    the vertex (h.v <= 0 for each, computed as the program computes it),
+    the program has no negative cost, so its all-slack start is optimal
+    and its witness is the vertex itself: such a round solves nothing.
     """
     p = _any_compatible_probability(m)
-    rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, payoffs @ p).argmax())
+    at_p = payoffs @ p
+    if _slack_totals(at_p, [i])[0] <= tol:
+        return True, p
+    rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, at_p).argmax())
     top = _vertex_states(payoffs[i] - payoffs[rival], m)
     vertex = [0.0] * m.frame.size
     for k, (_, v) in zip(top, m.items()):
         vertex[k] += v
-    for point in (p, tuple(vertex)):
-        if _slack_totals(payoffs @ point, [i])[0] <= tol:
-            return True, point
+    vertex = tuple(vertex)
+    at_vertex = payoffs @ vertex
+    if _slack_totals(at_vertex, [i])[0] <= tol:
+        return True, vertex
     layout, rows = _transfer_layout(m, top), sorted([i, rival])
     while True:
-        witness = _vertex_witness(payoffs[rows], m, rows.index(i), top, layout)
-        values = payoffs @ witness
+        if (_vertex_leads(payoffs[rows], m, rows.index(i), top)[1] > 0.0).any():
+            witness = _vertex_witness(payoffs[rows], m, rows.index(i), top, layout)
+            values = payoffs @ witness
+        else:  # the program's all-slack start is optimal: no transfer, the vertex
+            witness, values = vertex, at_vertex.copy()
         if _slack_totals(values[rows], [rows.index(i)])[0] > tol:
             return False, None
         if len(rows) == len(payoffs) or _slack_totals(values, [i])[0] <= tol:
@@ -265,6 +315,14 @@ def _transfer_layout(m: MassFunction, top: Sequence[int]) -> np.ndarray:
     return layout[layout[:, 0] != np.asarray(top)[layout[:, 1]]]
 
 
+def _vertex_leads(payoffs: np.ndarray, m: MassFunction, i: int,
+                  top: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """h, each other row of ``payoffs`` minus row ``i``, and h.v, its lead at
+    the credal vertex v that puts each focal mass on its state in ``top``."""
+    h = np.delete(payoffs, i, axis=0) - payoffs[i]
+    return h, h[:, top] @ np.array([v for _, v in m.items()])
+
+
 def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
                     layout: np.ndarray) -> LinearProgram:
     """Gamble ``i``'s slack-total program over the rows of ``payoffs``, started
@@ -280,11 +338,10 @@ def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[
     Every row is ``<=`` with rhs a mass or |h.v|, so the all-slack basis
     is feasible and the simplex runs no phase one.
     """
+    h, hv = _vertex_leads(payoffs, m, i, top)
     top = np.array(top, dtype=np.intp)
     states, focal = layout.T
     masses = np.array([v for _, v in m.items()])
-    h = np.delete(payoffs, i, axis=0) - payoffs[i]
-    hv = h[:, top] @ masses
     # moved[l, t]: how much transfer t raises h_l.p per unit
     moved = h[:, states] - h[:, top[focal]]
     ahead = hv > 0.0

@@ -30,7 +30,7 @@ class Relation:
 
     def __init__(self, table: Sequence[Sequence[bool]], *, complete: bool = False):
         n = len(table)
-        rows = tuple(tuple(bool(x) for x in row) for row in table)
+        rows = tuple(tuple(map(bool, row)) for row in table)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("relation table must be square")

@@ -1,10 +1,19 @@
 """Shared fixtures: the stock-picking demo data and random generators."""
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from beliefdecision import Frame, Gamble, MassFunction, PayoffMatrix
+
+# Under CI, property tests draw more examples and print the blob that
+# replays a failure, so that a counterexample found on one Python version
+# can be rerun on the others with ``@reproduce_failure``.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Demo decision problem used throughout: four stocks under three
 # economic scenarios, with evidence about the scenario given as a mass
