@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Frame, MassFunction, SubsetLike, _belief_plausibility, belief, plausibility
 from .errors import FrameSizeError
-from .relations import Relation
+from .relations import Relation, greatest_elements
 
 CLASSIFICATION_MAX_CLASSES = 16
 
@@ -161,7 +161,5 @@ def classification_scores(
             values = ((bel + pl)[1:] * tail[sizes - 1]).tolist()
     except FloatingPointError:
         raise ValueError("the classification scores overflow the float range") from None
-    scores = dict(zip(masks, values))
-    top = max(values)
-    best = [c for c, v in scores.items() if v == top]
-    return scores, Relation.from_scores(values), best
+    relation = Relation.from_scores(values)
+    return dict(zip(masks, values)), relation, [masks[i] for i in greatest_elements(relation)]

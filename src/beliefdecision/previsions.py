@@ -101,26 +101,24 @@ def maximality_relation(
     n = len(gambles)
     payoffs = np.array([g.values for g in gambles]).T.copy()  # one row per state
     rows = np.arange(n)
-    # the sums read only values; a zero sum, where a zero's sign matters,
-    # is summed again from its own signed terms
+    # fsum sums signed steps; exact_sums resums each zero total from signed terms
     try:
         with np.errstate(over="raise"):
+            exact = n * n >= EXACT_SUM_MIN_CELLS
             steps = _mass_minimum_differences(payoffs, m, rows[:, None], rows[None, :],
-                                              signed_zeros=False)
-            if n * n >= EXACT_SUM_MIN_CELLS:
+                                              signed_zeros=not exact)
+            if exact:
                 delta = exact_sums(steps, lambda cells: _cell_terms(payoffs, m, *cells))
             else:
                 terms = np.reshape(list(steps), (len(m), n * n)).T.tolist()
                 delta = np.reshape([math.fsum(row) for row in terms], (n, n))
-                zero = np.nonzero(delta == 0.0)
-                delta[zero] = [math.fsum(row) for row in _cell_terms(payoffs, m, *zero)]
     except (FloatingPointError, OverflowError):
         raise ValueError("the lower previsions of the differences overflow the float "
                          "range") from None
     weak = delta >= 0.0
     np.fill_diagonal(weak, True)
     chosen = np.flatnonzero(~(delta > 0.0).any(axis=0)).tolist()
-    return delta.tolist(), Relation(weak.tolist()), chosen
+    return delta.tolist(), Relation(weak), chosen
 
 
 def _cell_terms(payoffs: np.ndarray, m: MassFunction, rows: np.ndarray,
@@ -400,6 +398,10 @@ def e_admissible_set(
     :func:`e_admissible` does, with the same ``tol``. A witness found
     also accepts every later survivor whose slack total there is at most
     ``tol``, so members often share a witness.
+
+    The screen applies no ``tol``, so a rounding residue can drop a
+    gamble that :func:`e_admissible` accepts: in README "Costs and caps"
+    (frame s0, s1, s2) this returns [0] and ``e_admissible`` accepts 1.
     """
     _, _, candidates = maximality_relation(gambles, m)
     payoffs = np.array([g.values for g in _unit_range(gambles)])

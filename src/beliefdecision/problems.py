@@ -265,7 +265,10 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
         mask = _parse_subset(entry["focal"], frame, lambda: f"{where}[{pos}].focal")
         value = parse_number(entry["mass"], f"{where}[{pos}].mass")
         masses[mask] = masses.get(mask, 0.0) + value
-    total = math.fsum(masses.values())
+    try:
+        total = math.fsum(masses.values())
+    except OverflowError:  # a partial sum past the float range
+        total = math.inf
     _expect(abs(total - 1.0) <= 1e-9,
             f"{where} entries sum to {total!r}; masses must sum to 1")
     try:

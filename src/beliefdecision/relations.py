@@ -4,7 +4,7 @@ Pairwise "at least as desirable" relations over a finite set of items:
 interval dominance of expectation bounds, simultaneous dominance of
 both bounds, threshold orderings of real-valued mass functions, and
 the extraction of maximal/greatest elements. Relations store weak
-pairs only; strictness is always derived, never stored.
+pairs only, in one boolean array or as scores; strictness is derived.
 """
 
 from __future__ import annotations
@@ -20,31 +20,41 @@ from .errors import InvalidMassError
 class Relation:
     """A boolean "row at least as desirable as column" table.
 
-    Reflexivity is enforced at construction. Transitivity is not
+    The table is one read-only n × n ``bool`` array, built and checked
+    once from nested sequences or an array; rows are checked in order,
+    each for its length and then its diagonal cell. Transitivity is not
     assumed; :func:`transitive_closure` repairs it explicitly when
-    wanted. A relation made by :meth:`from_scores` stores only its
-    scores and compares two of them per query.
+    wanted. A relation made by :meth:`from_scores` stores only its scores.
     """
 
     __slots__ = ("n", "_table", "_scores", "complete")
 
-    def __init__(self, table: Sequence[Sequence[bool]], *, complete: bool = False):
+    def __init__(self, table: Sequence[Sequence[bool]] | np.ndarray, *, complete: bool = False):
         n = len(table)
-        rows = tuple(tuple(map(bool, row)) for row in table)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("relation table must be square")
-            if not row[i]:
-                raise ValueError(f"relation must be reflexive; item {i} is not related to itself")
-        if complete:
-            for i in range(n):
-                for j in range(n):
-                    if not (rows[i][j] or rows[j][i]):
-                        raise ValueError(
-                            f"relation flagged complete but items {i} and {j} are incomparable"
-                        )
+        try:
+            weak = np.array(table)
+        except (ValueError, TypeError):  # ragged rows
+            weak = None
+        if weak is None or weak.shape != (n, n) or weak.dtype.kind not in "biufc":
+            # not n × n numbers: each row's length, then its diagonal, in row order
+            rows = tuple(tuple(map(bool, row)) for row in table)
+            for i, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValueError("relation table must be square")
+                if not row[i]:
+                    raise ValueError(f"relation must be reflexive; item {i} is not related to "
+                                     "itself")
+            weak = np.array(rows, dtype=bool).reshape(n, n)
+        weak = weak.astype(bool, copy=False)
+        if not weak.diagonal().all():
+            raise ValueError(f"relation must be reflexive; item {weak.diagonal().argmin()} "
+                             "is not related to itself")
+        if complete and not (weak | weak.T).all():
+            i, j = divmod(int((weak | weak.T).argmin()), n)
+            raise ValueError(f"relation flagged complete but items {i} and {j} are incomparable")
+        weak.flags.writeable = False
         self.n = n
-        self._table = rows
+        self._table = weak
         self._scores = None
         self.complete = complete
 
@@ -67,14 +77,16 @@ class Relation:
 
     @property
     def table(self) -> tuple[tuple[bool, ...], ...]:
-        """The n × n table; built on each access for a score-backed relation."""
-        if self._scores is None:
-            return self._table
-        return tuple(tuple(a >= b for b in self._scores) for a in self._scores)
+        """The n × n table as tuples; built on each access for a score-backed relation."""
+        weak = self._table
+        if self._scores is not None:
+            scores = np.asarray(self._scores)
+            weak = scores[:, None] >= scores
+        return tuple(map(tuple, weak.tolist()))
 
     def holds(self, i: int, j: int) -> bool:
         if self._scores is None:
-            return self._table[i][j]
+            return bool(self._table[i, j])
         return self._scores[i] >= self._scores[j]
 
     def strictly(self, i: int, j: int) -> bool:
@@ -87,14 +99,9 @@ class Relation:
         return not self.holds(i, j) and not self.holds(j, i)
 
     def is_transitive(self) -> bool:
-        table = self.table
-        for i in range(self.n):
-            for j in range(self.n):
-                if table[i][j]:
-                    for k in range(self.n):
-                        if table[j][k] and not table[i][k]:
-                            return False
-        return True
+        """A score-backed relation always is; a table is iff it is its own closure."""
+        return self._scores is not None or bool(
+            (transitive_closure(self)._table == self._table).all())
 
     def describe(self, names: Sequence[str]) -> list[str]:
         """Deterministic textual listing of all pairs, ordered by item name."""
@@ -102,42 +109,37 @@ class Relation:
             raise ValueError(f"{len(names)} names for {self.n} items")
         order = sorted(range(self.n), key=lambda i: names[i])
         lines = []
-        for a in range(len(order)):
-            for b in range(a + 1, len(order)):
-                i, j = order[a], order[b]
-                if self.indifferent(i, j):
-                    lines.append(f"{names[i]} ~ {names[j]}")
-                elif self.strictly(i, j):
-                    lines.append(f"{names[i]} > {names[j]}")
-                elif self.strictly(j, i):
-                    lines.append(f"{names[j]} > {names[i]}")
-                else:
-                    lines.append(f"{names[i]} ? {names[j]}")
+        for a, i in enumerate(order):
+            for j in order[a + 1 :]:
+                forward, back = self.holds(i, j), self.holds(j, i)
+                first, second = (j, i) if back and not forward else (i, j)
+                mark = "~" if forward and back else ">" if forward or back else "?"
+                lines.append(f"{names[first]} {mark} {names[second]}")
         return lines
 
 
 def transitive_closure(rel: Relation) -> Relation:
-    """Smallest transitive relation containing ``rel`` (Floyd-Warshall)."""
-    table = [list(row) for row in rel.table]
-    n = rel.n
-    for k in range(n):
-        for i in range(n):
-            if table[i][k]:
-                row_i, row_k = table[i], table[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return Relation(table, complete=rel.complete)
+    """Smallest transitive relation containing ``rel``; Warshall's, a row per pivot."""
+    closed = np.array(rel._table if rel._scores is None else rel.table)
+    for k in range(rel.n):
+        closed |= closed[:, k, None] & closed[k]
+    return Relation(closed, complete=rel.complete)
 
 
 def maximal_elements(rel: Relation) -> list[int]:
     """Items to which no other item is strictly preferred."""
-    return [i for i in range(rel.n) if not any(rel.strictly(j, i) for j in range(rel.n))]
+    if rel._scores is not None:
+        return greatest_elements(rel)  # in a complete preorder they coincide
+    return np.flatnonzero((rel._table.T | ~rel._table).all(axis=0)).tolist()
 
 
 def greatest_elements(rel: Relation) -> list[int]:
-    """Items at least as desirable as every item; a subset of the maximal ones."""
-    return [i for i in range(rel.n) if all(rel.holds(i, j) for j in range(rel.n))]
+    """Items at least as desirable as every item, for scores the ties at the top;
+    a subset of the maximal ones."""
+    if rel._scores is not None:
+        top = max(rel._scores, default=None)
+        return [i for i, s in enumerate(rel._scores) if s >= top]
+    return np.flatnonzero(rel._table.all(axis=1)).tolist()
 
 
 def relation_from_choice_set(n: int, chosen: Iterable[int]) -> Relation:
@@ -152,19 +154,21 @@ def relation_from_choice_set(n: int, chosen: Iterable[int]) -> Relation:
     if not chosen_set <= set(range(n)):
         raise ValueError(f"choice set {sorted(chosen_set)} out of range for {n} items")
     # chosen rows relate to everything; non-chosen rows only to themselves
-    table = [
-        [True] * n if i in chosen_set else [i == j for j in range(n)]
-        for i in range(n)
-    ]
-    return Relation(table)
+    weak = np.eye(n, dtype=bool)
+    weak[np.fromiter(chosen_set, np.intp, len(chosen_set))] = True
+    return Relation(weak)
 
 
-def _check_intervals(lowers: Sequence[float], uppers: Sequence[float]) -> None:
+def _check_intervals(lowers: Sequence[float],
+                     uppers: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds as float arrays, once no interval is inverted."""
     if len(lowers) != len(uppers):
         raise ValueError("lower and upper bound vectors differ in length")
-    for i, (lo, hi) in enumerate(zip(lowers, uppers)):
-        if lo > hi:
-            raise ValueError(f"interval {i} is inverted: [{lo}, {hi}]")
+    lo, hi = np.asarray(lowers, dtype=float), np.asarray(uppers, dtype=float)
+    if (lo > hi).any():
+        i = int((lo > hi).argmax())
+        raise ValueError(f"interval {i} is inverted: [{lowers[i]}, {uppers[i]}]")
+    return lo, hi
 
 
 def interval_dominance(lowers: Sequence[float], uppers: Sequence[float]) -> Relation:
@@ -173,10 +177,8 @@ def interval_dominance(lowers: Sequence[float], uppers: Sequence[float]) -> Rela
     A very demanding relation; its choice set is typically large. Use
     :func:`interval_dominance_choice` for the non-dominated items.
     """
-    _check_intervals(lowers, uppers)
-    n = len(lowers)
-    table = [[i == j or lowers[i] >= uppers[j] for j in range(n)] for i in range(n)]
-    return Relation(table)
+    lo, hi = _check_intervals(lowers, uppers)
+    return Relation((lo[:, None] >= hi) | np.eye(len(lo), dtype=bool))
 
 
 def interval_dominance_choice(lowers: Sequence[float], uppers: Sequence[float]) -> list[int]:
@@ -185,15 +187,12 @@ def interval_dominance_choice(lowers: Sequence[float], uppers: Sequence[float]) 
     A member is exactly an item for which, against every competitor,
     some pair of compatible expectations rates it at least as high.
     Elimination requires a strictly higher lower bound; touching
-    intervals eliminate nothing.
+    intervals eliminate nothing. As no lower bound exceeds its own
+    upper, the largest lower bound (NaN clears nothing) decides.
     """
-    _check_intervals(lowers, uppers)
-    n = len(lowers)
-    return [
-        i
-        for i in range(n)
-        if not any(lowers[j] > uppers[i] for j in range(n) if j != i)
-    ]
+    lo, hi = _check_intervals(lowers, uppers)
+    top = np.fmax.reduce(lo, initial=-math.inf)
+    return np.flatnonzero(~(top > hi)).tolist()
 
 
 def interval_bound_dominance(lowers: Sequence[float], uppers: Sequence[float]) -> Relation:
@@ -202,12 +201,8 @@ def interval_bound_dominance(lowers: Sequence[float], uppers: Sequence[float]) -
     Equivalent to dominating for every pessimism index of the blended
     criterion at once.
     """
-    _check_intervals(lowers, uppers)
-    n = len(lowers)
-    table = [
-        [lowers[i] >= lowers[j] and uppers[i] >= uppers[j] for j in range(n)] for i in range(n)
-    ]
-    return Relation(table)
+    lo, hi = _check_intervals(lowers, uppers)
+    return Relation((lo[:, None] >= lo) & (hi[:, None] >= hi))
 
 
 class RealMass:
