@@ -25,7 +25,7 @@ from .criteria import FocalTable, LocalPessimismIndex, hurwicz_blend
 from .errors import BeliefDecisionError, SolverError, ValidationError
 from .goals import classification_scores, deterministic_score, expected_score, goal_audit
 from .ignorance import minimax_regret, prune_dominated
-from .previsions import e_admissible_set, maximality_relation
+from .previsions import E_ADMISSIBILITY_TOL, e_admissible_set, maximality_relation
 from .problems import (
     DecisionProblem,
     parse_classification_file,
@@ -372,7 +372,7 @@ def build_parser() -> _Parser:
     p_choice.add_argument(
         "--tolerance",
         type=float,
-        default=1e-8,
+        default=E_ADMISSIBILITY_TOL,
         help="e-admissibility tolerance: how much all other acts together may beat an act "
         "by at its witness (often a credal vertex), as a fraction of the utility range",
     )

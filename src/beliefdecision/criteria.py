@@ -5,7 +5,7 @@ table. Each criterion aggregates the utilities inside every focal set
 into one number and averages those by the focal masses, so all of them
 collapse to ordinary expected utility on Bayesian lotteries. Each is a
 reduction of one :class:`FocalTable`, which reads every focal set of
-every act once; :class:`FocalSummary` is one act's view of it.
+every act once; the single-lottery functions score a one-act table.
 """
 
 from __future__ import annotations
@@ -13,23 +13,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (EXACT_SUM_MIN_CELLS, Frame, MassFunction, UtilityTable, exact_sums,
-                   iter_elements, nonspecificity)
-from .ignorance import OwaWeights, PayoffMatrix, max_entropy_owa_weights, minimax_regret
+from .core import EXACT_SUM_MIN_CELLS, Frame, MassFunction, UtilityTable, exact_sums, nonspecificity
+from .ignorance import (OwaWeights, PayoffMatrix, _check_unit, max_entropy_owa_weights,
+                        minimax_regret)
 
 
 @functools.lru_cache(maxsize=4096)
 def _owa_weights_cached(arity: int, beta: float) -> OwaWeights:
     return max_entropy_owa_weights(arity, beta)
-
-
-def _check_unit(value: float, what: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
 class FocalTable:
@@ -105,15 +100,6 @@ class FocalTable:
         return exact_sums(columns, lambda cells: [
             row[:k] for row, k in zip(terms[cells].tolist(), self.counts[cells].tolist())])
 
-    def summary(self, i: int) -> "FocalSummary":
-        """Act i's cells as Python numbers."""
-        a, b = self.starts[i], self.starts[i + 1]
-        values, ordered = ([x[:k] for x, k in zip(rows[a:b].tolist(), self.counts[a:b].tolist())]
-                           for rows in (self.values, self.ordered))
-        return FocalSummary(self.frames[i], tuple(self.masks[a:b].tolist()),
-                            tuple(self.masses[a:b].tolist()), values, self.lows[a:b].tolist(),
-                            ordered)
-
     def lower(self) -> list[float]:
         return self._per_act(self.masses * self.lows)
 
@@ -144,46 +130,6 @@ class FocalTable:
             alphas += [index(labels[w], labels[h]) for w, h in zip(worst[a:b], best[a:b])]
         alpha = np.array(alphas, dtype=float)
         return self._per_act(self.masses * (alpha * self.lows + (1.0 - alpha) * self.highs))
-
-
-class FocalSummary(NamedTuple):
-    """One lottery's focal cells as Python numbers, in ascending mask order.
-
-    Per focal set: its mask and mass, its utilities in frame order, the
-    first of their minima and the utilities in decreasing order, ties in
-    frame order. Each criterion is that of the one-act :class:`FocalTable`.
-    """
-
-    frame: Frame
-    masks: Sequence[int]
-    masses: Sequence[float]
-    values: Sequence[Sequence[float]]
-    lows: Sequence[float]
-    ordered: Sequence[Sequence[float]]
-
-    @classmethod
-    def of(cls, mu: MassFunction, u: UtilityTable) -> "FocalSummary":
-        """Summarise the lottery ``(mu, u)``; the frames must match."""
-        return _lottery(mu, u).summary(0)
-
-    def _score(self, criterion: Callable[..., list[float]], *params) -> float:
-        row = np.zeros((1, self.frame.size))  # utilities outside the focal sets are never read
-        for a, x in zip(self.masks, self.values):
-            row[0, list(iter_elements(a))] = x
-        table = FocalTable((self.frame,), (len(self.masks),), self.masks, self.masses, row)
-        return criterion(table, *params)[0]
-
-    lower = functools.partialmethod(_score, FocalTable.lower)
-    upper = functools.partialmethod(_score, FocalTable.upper)
-    pignistic = functools.partialmethod(_score, FocalTable.pignistic)
-    owa = functools.partialmethod(_score, FocalTable.owa)
-    jaffray = functools.partialmethod(_score, FocalTable.jaffray)
-
-
-def summarize_rows(m: MassFunction, rows: Sequence[Sequence[float]]) -> list[FocalSummary]:
-    """The summary of every lottery ``(m, row)``: views of one :class:`FocalTable`."""
-    table = FocalTable.of_rows(m, rows)
-    return [table.summary(i) for i in range(len(rows))]
 
 
 def _lottery(mu: MassFunction, u: UtilityTable) -> FocalTable:
@@ -320,8 +266,7 @@ class LocalPessimismIndex:
 
     @classmethod
     def constant(cls, alpha: float) -> "LocalPessimismIndex":
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"pessimism index must be in [0, 1], got {alpha}")
+        _check_unit(alpha, "pessimism index")
         obj = cls.__new__(cls)
         obj._constant = alpha
         obj._table = {}

@@ -20,6 +20,11 @@ from .errors import SolverError, UndefinedMeasureError
 OPTIMISM_TOL = 1e-8
 
 
+def _check_unit(value: float, what: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Rectangular utility table: one row per act, one column per state."""
@@ -97,8 +102,7 @@ def score_ignorance(
     elif criterion == "hurwicz":
         if alpha is None:
             raise ValueError("the hurwicz criterion needs a pessimism index")
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"pessimism index must be in [0, 1], got {alpha}")
+        _check_unit(alpha, "pessimism index")
         scores = alpha * u.min(axis=1) + (1.0 - alpha) * u.max(axis=1)
     elif criterion == "laplace":
         scores = u.mean(axis=1)
@@ -115,7 +119,8 @@ def minimax_regret(matrix: PayoffMatrix) -> tuple[tuple[tuple[float, ...], ...],
     float range.
     """
     u = matrix.as_array()
-    regret = u.max(axis=0)[None, :] - u
+    with np.errstate(over="ignore"):
+        regret = u.max(axis=0)[None, :] - u
     if not np.isfinite(regret).all():
         raise ValueError("the regrets overflow the float range")
     max_regret = regret.max(axis=1)
@@ -172,8 +177,7 @@ def max_entropy_owa_weights(s: int, beta: float) -> OwaWeights:
     """
     if s < 2:
         raise UndefinedMeasureError("need at least two ranks for OWA weights")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"degree of optimism must be in [0, 1], got {beta}")
+    _check_unit(beta, "degree of optimism")
     if beta == 0.0:
         return OwaWeights((0.0,) * (s - 1) + (1.0,))
     if beta == 1.0:

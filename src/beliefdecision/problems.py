@@ -37,7 +37,7 @@ from typing import Any, Callable, IO
 
 import numpy as np
 
-from .core import Act, Frame, MassFunction, UtilityTable, pushforward
+from .core import MASS_SUM_TOL, Act, Frame, MassFunction, UtilityTable, pushforward
 from .criteria import FocalTable, LocalPessimismIndex
 from .errors import BeliefDecisionError, FrameMismatchError, ValidationError
 from .goals import GoalSystem
@@ -104,17 +104,18 @@ class DecisionProblem:
     def focal_table(self) -> FocalTable:
         """Every act's lottery, in act order, as :meth:`lottery` gives it.
 
-        A row act's cells are the focal sets. A consequence-mapped act's
-        cell for a focal set is the union of its images over the set, taken
-        for all such acts at once from one acts × states image matrix; its
-        equal images merge with plain ``+`` in focal order and ascending
-        image order, as :func:`pushforward` merges them.
+        A row act's cells are the focal sets, over its parsed row; no
+        lottery is built. A consequence-mapped act's cell for a focal set
+        is the union of its images over the set, taken for all such acts
+        at once from one acts × states image matrix; its equal images
+        merge with plain ``+`` in focal order and ascending image order,
+        as :func:`pushforward` merges them.
         """
         m = self.require_mass()
         mapped = [act.images for act in self.acts if act is not None]
         if mapped and self.utilities is None:
             raise ValidationError("consequence-mapped acts need a utility table")
-        rows = [self.lottery(i)[1].values for i, act in enumerate(self.acts) if act is None]
+        rows = [row for row, act in zip(self.rows, self.acts) if act is None]
         if not mapped:
             return FocalTable.of_rows(m, rows)
         focal, s = list(m.items()), self.states.size
@@ -269,7 +270,7 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
         total = math.fsum(masses.values())
     except OverflowError:  # a partial sum past the float range
         total = math.inf
-    _expect(abs(total - 1.0) <= 1e-9,
+    _expect(abs(total - 1.0) <= MASS_SUM_TOL,
             f"{where} entries sum to {total!r}; masses must sum to 1")
     try:
         return MassFunction(frame, masses)

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import MASS_SUM_TOL
 from .errors import InvalidMassError
 
 
@@ -228,7 +229,7 @@ class RealMass:
         if not focal:
             raise InvalidMassError("real-valued mass function has no focal sets")
         total = math.fsum(focal.values())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MASS_SUM_TOL:
             raise InvalidMassError(f"masses sum to {total!r}, expected 1")
         self.focal = dict(sorted(focal.items()))
 

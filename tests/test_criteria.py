@@ -31,7 +31,7 @@ from beliefdecision import (
     upper_expectation,
 )
 from beliefdecision.cli import main
-from beliefdecision.criteria import FocalSummary, _owa_weights_cached, summarize_rows
+from beliefdecision.criteria import FocalTable, _owa_weights_cached
 from beliefdecision.ignorance import PayoffMatrix, minimax_regret
 from beliefdecision.problems import parse_problem_dict
 from conftest import (
@@ -404,7 +404,7 @@ class TestBayesianCollapse:
                 assert v == pytest.approx(eu, abs=1e-12)
 
 
-# -- reference identity: the per-criterion loops the focal summary replaced --------
+# -- reference identity: the per-criterion loops the focal table replaced ----------
 
 
 def ref_lower(mu, u):
@@ -567,23 +567,22 @@ class TestFocalSummaryReferenceIdentity:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.data())
     def test_row_summaries(self, n_states, n_acts, data):
-        # one array pass for all acts gives every act's own summary, bit for bit
+        # one table over all rows gives every act its own lottery's scores, bit for bit
         frame = Frame([f"s{i}" for i in range(n_states)])
         m = data.draw(adversarial_masses(frame))
         rows = data.draw(utility_rows(n_acts, n_states))
         beta = data.draw(ALPHA)
         index = pair_index(frame, data.draw(st.integers(0, 3)))
-        summaries = summarize_rows(m, rows)
-        assert len(summaries) == n_acts
-        for s, row in zip(summaries, rows):
+        table = FocalTable.of_rows(m, rows)
+        scores = zip(table.lower(), table.upper(), table.pignistic(), table.owa(beta),
+                     table.jaffray(index), strict=True)
+        for (lower, upper, pignistic, owa, jaffray), row in zip(scores, rows, strict=True):
             u = UtilityTable(frame, row)
-            single = FocalSummary.of(m, u)
-            assert bits(s) == bits(single)
-            assert_same(s.lower(), ref_lower(m, u))
-            assert_same(s.upper(), ref_upper(m, u))
-            assert_same(s.pignistic(), ref_pignistic(m, u))
-            assert_same(outcome(s.owa, beta), outcome(ref_owa, m, u, beta))
-            assert_same(s.jaffray(index), ref_jaffray(m, u, index))
+            assert_same(lower, ref_lower(m, u))
+            assert_same(upper, ref_upper(m, u))
+            assert_same(pignistic, ref_pignistic(m, u))
+            assert_same(owa, ref_owa(m, u, beta))
+            assert_same(jaffray, ref_jaffray(m, u, index))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.data())

@@ -16,6 +16,7 @@ import os
 import random
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -188,7 +189,8 @@ class TestFixedCases:
     def test_overflowing_regret_rows_are_a_validation_error(self):
         doc = {"states": ["s0"], "acts": [{"name": "f", "utilities": [1.7e308]},
                                           {"name": "g", "utilities": [-1.7e308]}]}
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(doc, ["rank", "--criterion", "regret"]) == (2, "")
 
 

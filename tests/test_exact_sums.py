@@ -113,6 +113,10 @@ class TestKernel:
         ([1.0, 2.0**-53, -(2.0**-110)], 1.0),
         ([2.0**-1074, 2.0**-1074], 2.0**-1073),        # subnormals
         ([1.0, -1.0], 0.0),
+        # cancelled to near a tie that only the second-level errors break, so
+        # only the certificate's error bound sends it to math.fsum
+        ([2.0**200, 1.0, 2.0**-53 - 2.0**-106, *[2.0**-108] * 5, -(2.0**200)],
+         float.fromhex("0x1.0000000000001p+0")),
     ])
     def test_known_sums(self, row, total):
         sums = kernel_sums(tiled([row]))

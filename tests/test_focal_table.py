@@ -3,11 +3,11 @@
 Row acts take the state mass's focal sets as their cells; consequence-
 mapped acts take the images of the focal sets, merged as ``pushforward``
 merges them. Every criterion's score must equal, bit for bit and in the
-sign of a zero, the per-lottery references: the summary of the act's own
-lottery and the plain loops of ``test_criteria``. The CLI prints what the
-per-lottery path prints. Also the overflow reproductions of ``goals``,
-``choice --rule maximality`` and the regret criteria, and the
-e-admissibility allocation layout built once per decision.
+sign of a zero, the per-lottery references: the public criteria on the
+act's own lottery and the plain loops of ``test_criteria``. The CLI
+prints what the per-lottery path prints. Also the overflow reproductions
+of ``goals``, ``choice --rule maximality`` and the regret criteria, and
+the e-admissibility allocation layout built once per decision.
 """
 
 import contextlib
@@ -28,12 +28,16 @@ from beliefdecision import (
     LocalPessimismIndex,
     PayoffMatrix,
     e_admissible,
+    generalized_owa_expected_utility,
+    jaffray_utility,
+    lower_expectation,
     minimax_regret,
+    pignistic_expected_utility,
+    upper_expectation,
 )
 from beliefdecision import previsions
 from beliefdecision.cli import main
 from beliefdecision.core import Act
-from beliefdecision.criteria import FocalSummary
 from beliefdecision.errors import InvalidMassError
 from beliefdecision.problems import DecisionProblem, parse_problem_dict
 from beliefdecision.relations import (
@@ -98,11 +102,22 @@ def lotteries(problem):
 
 
 def ref_summary(mu, u):
-    """The summary as plain Python reads it: ``min`` and ``sorted`` keep the first of ties."""
+    """Masks, masses, and per focal set its utilities, low and decreasing order, as plain
+    Python reads them: ``min`` and ``sorted`` keep the first of ties."""
     masks, masses = zip(*mu.items())
     values = [u.over(a) for a in masks]
-    return FocalSummary(mu.frame, masks, masses, values, [min(x) for x in values],
-                        [sorted(x, reverse=True) for x in values])
+    lows, ordered = [min(x) for x in values], [sorted(x, reverse=True) for x in values]
+    return masks, masses, values, lows, ordered
+
+
+def act_cells(table, i):
+    """Act i's cells sliced out of the table, in the order of :func:`ref_summary`."""
+    a, b = table.starts[i], table.starts[i + 1]
+    counts = table.counts[a:b].tolist()
+    values, ordered = ([x[:k] for x, k in zip(rows[a:b].tolist(), counts)]
+                       for rows in (table.values, table.ordered))
+    return (table.masks[a:b].tolist(), table.masses[a:b].tolist(), values,
+            table.lows[a:b].tolist(), ordered)
 
 
 def pair_index(problem, seed):
@@ -126,14 +141,18 @@ class TestTableAgainstReferences:
             "jaffray": outcome(table.jaffray, index),
         }
         for i, (mu, u) in enumerate(lotteries(problem)):
-            summary = FocalSummary.of(mu, u)
-            assert bits(table.summary(i)) == bits(summary) == bits(ref_summary(mu, u))
-            for name, ref, args in (("lower", ref_lower, ()), ("upper", ref_upper, ()),
-                                    ("pignistic", ref_pignistic, ()), ("owa", ref_owa, (param,)),
-                                    ("jaffray", ref_jaffray, (index,))):
+            assert table.frames[i] == mu.frame
+            assert bits(act_cells(table, i)) == bits(ref_summary(mu, u))
+            for name, ref, public, args in (
+                ("lower", ref_lower, lower_expectation, ()),
+                ("upper", ref_upper, upper_expectation, ()),
+                ("pignistic", ref_pignistic, pignistic_expected_utility, ()),
+                ("owa", ref_owa, generalized_owa_expected_utility, (param,)),
+                ("jaffray", ref_jaffray, jaffray_utility, (index,)),
+            ):
                 got = scores[name] if isinstance(scores[name], tuple) else scores[name][i]
                 assert_same(got, outcome(ref, mu, u, *args))
-                assert_same(got, outcome(getattr(summary, name), *args))
+                assert_same(got, outcome(public, mu, u, *args))
             if not isinstance(scores["lower"], tuple) and not isinstance(scores["upper"], tuple):
                 assert_same(outcome(ref_hurwicz, mu, u, param),
                             param * scores["lower"][i] + (1.0 - param) * scores["upper"][i])
@@ -152,19 +171,22 @@ class TestTableAgainstReferences:
         problem = parse_problem_dict(doc)
         table = problem.focal_table()
         mu, u = problem.lottery(0)
-        assert bits(table.summary(0)) == bits(ref_summary(mu, u))
-        assert table.summary(0).masses == (((0.1 + 0.2) + 0.3) + 0.4,)
-        assert len(table.summary(1).masks) == 4
+        assert bits(act_cells(table, 0)) == bits(ref_summary(mu, u))
+        assert act_cells(table, 0)[1] == [((0.1 + 0.2) + 0.3) + 0.4]
+        assert len(act_cells(table, 1)[0]) == 4
 
 
 class TestCliPath:
     def test_mapped_acts_build_no_lottery(self, monkeypatch, tmp_path):
-        doc = {"states": ["w0", "w1"], "consequences": ["c0", "c1"],
-               "utilities": {"c0": 1.0, "c1": 2.0},
-               "acts": [{"name": "m", "consequences": {"w0": ["c0", "c1"], "w1": ["c1"]}}],
-               "mass": [{"focal": ["w0"], "mass": 0.5}, {"focal": ["w0", "w1"], "mass": 0.5}]}
-        path = tmp_path / "mapped.json"
-        path.write_text(json.dumps(doc))
+        mass = [{"focal": ["w0"], "mass": 0.5}, {"focal": ["w0", "w1"], "mass": 0.5}]
+        mapped = {"states": ["w0", "w1"], "consequences": ["c0", "c1"],
+                  "utilities": {"c0": 1.0, "c1": 2.0},
+                  "acts": [{"name": "m", "consequences": {"w0": ["c0", "c1"], "w1": ["c1"]}}],
+                  "mass": mass}
+        rows = {"states": ["w0", "w1"],
+                "acts": [{"name": "r", "utilities": [1.0, -0.0]},
+                         {"name": "s", "utilities": [0.5, 2.0]}],
+                "mass": mass}
 
         def forbidden(*args):
             raise AssertionError("the CLI path built a lottery")
@@ -173,12 +195,16 @@ class TestCliPath:
         monkeypatch.setattr(Act, "image_of", forbidden)
         monkeypatch.setattr("beliefdecision.problems.pushforward", forbidden)
         monkeypatch.setattr("beliefdecision.core.pushforward", forbidden)
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (["rank", "--criterion", "gowa", "--beta", "0.3"],
-                         ["rank", "--criterion", "jaffray", "--alpha", "0.5"],
-                         ["sweep", "--criterion", "ghurwicz", "--steps", "3"],
-                         ["choice", "--rule", "interval-bound"]):
-                assert main([argv[0], str(path), *argv[1:]]) == 0
+        for name, doc in (("mapped", mapped), ("rows", rows),
+                          ("mixed", dict(mapped, acts=mapped["acts"] + rows["acts"]))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in (["rank", "--criterion", "gowa", "--beta", "0.3"],
+                             ["rank", "--criterion", "jaffray", "--alpha", "0.5"],
+                             ["sweep", "--criterion", "ghurwicz", "--steps", "3"],
+                             ["choice", "--rule", "interval-bound"]):
+                    assert main([argv[0], str(path), *argv[1:]]) == 0, (name, argv)
 
 
 def cli(doc, argv):
