@@ -6,6 +6,13 @@ into one number and averages those by the focal masses, so all of them
 collapse to ordinary expected utility on Bayesian lotteries. Each is a
 reduction of one :class:`FocalTable`, which reads every focal set of
 every act once; the single-lottery functions score a one-act table.
+The table holds one row per (act, focal set) cell. When every act's
+lottery has the state mass's focal sets, as utility rows do, the cells'
+layout (elements, sizes, padding) is worked out per focal set and
+repeated for every act, and each cell takes its act's utilities in one
+boolean gather: no cell is sorted. The cells of acts that map states to
+sets of consequences are the unions of their images over each focal
+set, taken for all acts at once, with equal unions merged.
 """
 
 from __future__ import annotations
@@ -22,6 +29,11 @@ from .ignorance import (OwaWeights, PayoffMatrix, _check_unit, max_entropy_owa_w
                         minimax_regret)
 
 
+def _copies(a: np.ndarray, k: int) -> np.ndarray:
+    """``k`` copies of ``a`` one after another along its first axis, as ``np.tile`` puts them."""
+    return a if k == 1 else a[None].repeat(k, axis=0).reshape(-1, *a.shape[1:])
+
+
 @functools.lru_cache(maxsize=4096)
 def _owa_weights_cached(arity: int, beta: float) -> OwaWeights:
     return max_entropy_owa_weights(arity, beta)
@@ -35,39 +47,97 @@ class FocalTable:
     mass, size, utilities in frame order and in decreasing order with
     ties in frame order (both padded with zeros), and the first minimum
     and maximum in frame order (``argmin`` and ``argmax`` keep the sign of
-    a zero, as ``min`` does). A criterion gives each act the ``math.fsum``
-    of its cells' terms, which numpy forms with the rounding of Python's
-    ``*``. The sums within cells that ``pignistic`` and ``owa`` need have
-    ``math.fsum``'s bits too: a table of ``EXACT_SUM_MIN_CELLS`` cells or
-    more gets them from the array passes of :func:`exact_sums`.
+    a zero, as ``min`` does). A cell's layout (its elements in frame
+    order, its size and padding) depends on its mask alone: :meth:`of_rows`
+    works it out once per focal set and repeats it for every act, where
+    the constructor works it out per cell. A criterion gives
+    each act the ``math.fsum`` of its cells' terms, which numpy forms
+    with the rounding of Python's ``*``. The sums within cells that
+    ``pignistic`` and ``owa`` need have ``math.fsum``'s bits too: a table
+    of ``EXACT_SUM_MIN_CELLS`` cells or more gets them from the array
+    passes of :func:`exact_sums`.
     """
 
     def __init__(self, frames: Sequence[Frame], sizes: Sequence[int], masks: Sequence[int],
                  masses: Sequence[float], utilities: np.ndarray):
         """Act i has ``sizes[i]`` of the cells and its utilities in ``utilities[i]``."""
-        if not np.isfinite(utilities).all():
-            raise ValueError("utilities must be finite")
-        self.frames, self.starts = tuple(frames), [0, *itertools.accumulate(sizes)]
-        self.masks, self.masses = np.asarray(masks, dtype=np.int64), np.asarray(masses, float)
-        span = np.arange(utilities.shape[1])
-        inside = self.masks[:, None] >> span & 1 == 1
-        self.counts = inside.sum(axis=1)
-        # each cell's elements in frame order, then the rest (the sort keys are distinct)
-        self._elements = np.argsort(np.where(inside, span, span + len(span)), axis=1)
-        self._pad = span >= self.counts[:, None]
-        acts = np.repeat(np.arange(len(utilities)), sizes)
-        self.values = np.where(self._pad, 0.0, utilities[acts[:, None], self._elements])
-        self._low = np.where(self._pad, np.inf, self.values).argmin(axis=1)
-        self._high = np.where(self._pad, -np.inf, self.values).argmax(axis=1)
-        cell = np.arange(len(self._pad))
-        self.lows, self.highs = self.values[cell, self._low], self.values[cell, self._high]
+        self._build(frames, sizes, masses, utilities, np.asarray(masks, dtype=np.int64), 1)
 
     @classmethod
     def of_rows(cls, m: MassFunction, rows: Sequence[Sequence[float]]) -> "FocalTable":
         """The lotteries ``(m, row)`` of utility rows over ``m``'s frame."""
         u = np.asarray(rows, dtype=float).reshape(len(rows), m.frame.size)
-        masks, masses = zip(*m.items())
-        return cls((m.frame,) * len(u), (len(masks),) * len(u), masks * len(u), masses * len(u), u)
+        masks, masses = (np.array(column) for column in zip(*m.items()))
+        table = cls.__new__(cls)
+        table._build((m.frame,) * len(u), (len(masks),) * len(u), _copies(masses, len(u)), u,
+                     masks, len(u))
+        return table
+
+    @classmethod
+    def of_images(cls, m: MassFunction, images: np.ndarray, frames: Sequence[Frame],
+                  utilities: np.ndarray) -> "FocalTable":
+        """The lotteries of acts that map each state of ``m``'s frame to a set.
+
+        ``images[i, k]`` is the bitmask, over ``frames[i]``, of act i's
+        image of state k, and ``utilities[i]`` holds that frame's
+        utilities. Act i's cell for a focal set is the union of its
+        images over the set. Equal unions merge as :func:`pushforward`
+        merges them: a stable sort keeps each run of equal unions in
+        focal order, and the run's masses are added with plain ``+`` one
+        position at a time, so each sum has the bits of
+        ``merged.get(image, 0.0) + v``.
+        """
+        masks, masses = (np.array(column) for column in zip(*m.items()))
+        inside = masks[:, None] >> np.arange(m.frame.size) & 1 == 1
+        unions = np.bitwise_or.reduce(np.where(inside, images[:, None, :], 0), axis=2)
+        order = np.argsort(unions, axis=1, kind="stable")
+        cells, sums = unions[np.arange(len(unions))[:, None], order], masses[order]
+        first = np.ones(cells.shape, dtype=bool)
+        first[:, 1:] = cells[:, 1:] != cells[:, :-1]
+        if not first.all():
+            # runs[k, r] is run r's k-th mass, in focal order; accumulate adds row by row
+            f = np.arange(len(masks))
+            rank = f - np.maximum.accumulate(np.where(first, f, 0), axis=1)
+            runs = np.zeros((int(rank.max()) + 1, int(first.sum())))
+            runs[rank, np.cumsum(first).reshape(first.shape) - 1] = sums
+            sums[first] = np.add.accumulate(runs)[-1]  # + 0.0 past a run's end changes no sum
+        return cls(frames, first.sum(axis=1).tolist(), cells[first], sums[first], utilities)
+
+    def _build(self, frames: Sequence[Frame], sizes: Sequence[int], masses: Sequence[float],
+               utilities: np.ndarray, layout: np.ndarray, copies: int) -> None:
+        """The table whose cells' masks are ``layout`` repeated ``copies`` times.
+
+        Each mask of ``layout`` gets its elements and size once. Each
+        cell then takes its act's utilities at its elements, in frame
+        order, in one boolean gather, and zeros in its padding.
+        """
+        if not np.isfinite(utilities).all():
+            raise ValueError("utilities must be finite")
+        self.frames, self.starts = tuple(frames), [0, *itertools.accumulate(sizes)]
+        self.masses = np.asarray(masses, float)
+        span = np.arange(utilities.shape[1])
+        inside = layout[:, None] >> span & 1 == 1
+        self.masks, self.counts = _copies(layout, copies), _copies(inside.sum(axis=1), copies)
+        self._pad = span >= self.counts[:, None]
+        self.values = np.zeros(self._pad.shape)
+        self.values[~self._pad] = np.repeat(utilities, sizes, axis=0)[_copies(inside, copies)]
+        self._cell = np.arange(len(self.values))
+
+    def _low(self) -> np.ndarray:
+        """Where each cell's first minimum in frame order is."""
+        return np.where(self._pad, np.inf, self.values).argmin(axis=1)
+
+    def _high(self) -> np.ndarray:
+        """Where each cell's first maximum in frame order is."""
+        return np.where(self._pad, -np.inf, self.values).argmax(axis=1)
+
+    @property
+    def lows(self) -> np.ndarray:
+        return self.values[self._cell, self._low()]
+
+    @property
+    def highs(self) -> np.ndarray:
+        return self.values[self._cell, self._high()]
 
     @functools.cached_property
     def ordered(self) -> np.ndarray:
@@ -123,13 +193,17 @@ class FocalTable:
         return self._per_act(self.masses * self._cell_sums(self.ordered * weights[self.counts]))
 
     def jaffray(self, index: LocalPessimismIndex) -> list[float]:
-        cell, alphas = np.arange(len(self.masks)), []
-        worst, best = (self._elements[cell, at].tolist() for at in (self._low, self._high))
+        span, low, high, alphas = np.arange(self.values.shape[1]), self._low(), self._high(), []
+        # each cell's elements in frame order, then the rest (the sort keys are distinct)
+        inside = self.masks[:, None] >> span & 1 == 1
+        elements = np.argsort(np.where(inside, span, span + len(span)), axis=1)
+        worst, best = (elements[self._cell, at].tolist() for at in (low, high))
         for frame, a, b in zip(self.frames, self.starts, self.starts[1:]):
             labels = frame.labels
             alphas += [index(labels[w], labels[h]) for w, h in zip(worst[a:b], best[a:b])]
         alpha = np.array(alphas, dtype=float)
-        return self._per_act(self.masses * (alpha * self.lows + (1.0 - alpha) * self.highs))
+        lows, highs = self.values[self._cell, low], self.values[self._cell, high]
+        return self._per_act(self.masses * (alpha * lows + (1.0 - alpha) * highs))
 
 
 def _lottery(mu: MassFunction, u: UtilityTable) -> FocalTable:

@@ -227,24 +227,31 @@ def e_admissible(
         raise IndexError(f"gamble index {i} out of range")
     for g in gambles:
         m._check_frame(g.frame)
-    return _decide(np.array([g.values for g in _unit_range(gambles)]), m, i, tol)
+    return _decide(_unit_payoffs(np.array([g.values for g in gambles]))[0], m, i, tol)
 
 
 def _unit_range(gambles: Sequence[Gamble]) -> Sequence[Gamble]:
-    """The gambles under the common affine map u -> (u - lo) / (hi - lo).
+    """The gambles with their payoffs mapped by :func:`_unit_payoffs`."""
+    unit, span = _unit_payoffs(np.array([g.values for g in gambles]))
+    if span == 0.0:
+        return gambles
+    frame = gambles[0].frame
+    return [Gamble(frame, row) for row in unit.tolist()]
+
+
+def _unit_payoffs(payoffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """``payoffs`` under the common affine map u -> (u - lo) / (hi - lo), and hi - lo.
 
     ``lo`` and ``hi`` are the smallest and largest payoff of all the
-    gambles. A set with a single payoff value is returned as it is.
+    gambles. A single payoff value comes back as it is, with span 0.0.
     """
-    payoffs = np.array([g.values for g in gambles])
     lo, hi = float(payoffs.min()), float(payoffs.max())
     span = hi - lo
     if not math.isfinite(span):
         raise ValueError(f"the utility range from {lo!r} to {hi!r} overflows")
     if span == 0.0:
-        return gambles
-    frame = gambles[0].frame
-    return [Gamble(frame, row) for row in ((payoffs - lo) / span).tolist()]
+        return payoffs, span
+    return (payoffs - lo) / span, span
 
 
 def _slack_totals(values: np.ndarray, rows: Sequence[int]) -> np.ndarray:
@@ -393,18 +400,24 @@ def e_admissible_set(
 ) -> tuple[list[int], dict[int, tuple[float, ...]]]:
     """Indices of e-admissible gambles plus a witness per member.
 
-    Screens with the maximality choice set first (e-admissibility
-    implies maximality), then decides each survivor as
-    :func:`e_admissible` does, with the same ``tol``. A witness found
-    also accepts every later survivor whose slack total there is at most
-    ``tol``, so members often share a witness.
-
-    The screen applies no ``tol``, so a rounding residue can drop a
-    gamble that :func:`e_admissible` accepts: in README "Costs and caps"
-    (frame s0, s1, s2) this returns [0] and ``e_admissible`` accepts 1.
+    Screens with the maximality matrix first: gamble i is dropped when
+    the lower prevision of some g_j - g_i exceeds what rounding can add
+    to that cell: 4 * |F| * eps times the utility range (largest payoff
+    minus smallest; eps is the float spacing at 1). Such a gamble is not
+    maximal, so not e-admissible; a tie that only rounding breaks drops
+    no gamble, in any units. Each survivor is then decided as
+    :func:`e_admissible` decides it, with the same ``tol``. A gamble
+    that another beats at every compatible probability by more than
+    rounding but by less than ``tol`` is dropped here, though
+    ``e_admissible`` accepts it. A witness found also accepts every
+    later survivor whose slack total there is at most ``tol``, so
+    members often share a witness.
     """
-    _, _, candidates = maximality_relation(gambles, m)
-    payoffs = np.array([g.values for g in _unit_range(gambles)])
+    delta, _, _ = maximality_relation(gambles, m)
+    payoffs, span = _unit_payoffs(np.array([g.values for g in gambles]))
+    # each of a cell's |F| terms rounds by about eps * span
+    rounding = 4 * len(m) * np.finfo(float).eps * span
+    candidates = np.flatnonzero(~(np.asarray(delta) > rounding).any(axis=0)).tolist()
     witnesses: dict[int, tuple[float, ...]] = {}
     for k, i in enumerate(candidates):
         if i in witnesses:

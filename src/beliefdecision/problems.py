@@ -21,6 +21,14 @@ non-empty set of consequence labels):
       "mass": [...]
     }
 
+A parsed problem holds its acts as two acts × states matrices, built
+in one pass over the acts: the float64 utilities of the acts given as
+rows, and the int64 consequence bitmasks of the mapped acts. Every
+utility is checked at once (types, exact range, then ``np.isfinite``),
+and each consequence list is parsed once per file. The focal table of
+the criteria is built from these matrices; per-act ``Act`` objects and
+rows are built only when read.
+
 The goal, classification, mass and pessimism-index files are parsed
 here too, under the same rules: labels are unique strings, subsets are
 non-empty label lists, numbers are finite, and unknown top-level fields
@@ -29,6 +37,8 @@ are rejected. Every violation raises :class:`ValidationError`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import sys
@@ -44,46 +54,89 @@ from .goals import GoalSystem
 from .ignorance import PayoffMatrix
 from .previsions import Gamble
 
+_FLOAT_MAX = sys.float_info.max
+_NUMBER_TYPES = frozenset((int, float))  # not bool, which is a type of its own
 
-@dataclass
+
+@dataclass(eq=False)
 class DecisionProblem:
     """States, acts and (optionally) a mass function over the states.
 
-    ``rows[i]`` holds act i's resolved utility row when the act is
-    point-valued (given as a row, or as a map with singleton images),
-    and None for genuinely multi-valued acts.
+    The acts are two acts × states matrices: ``payoffs`` (float64) holds
+    each row act's utilities, and ``images`` (int64) each
+    consequence-mapped act's image bitmasks; the other kind of act has
+    zeros there. :attr:`rows` and :attr:`acts` are the per-act views,
+    built on first read.
     """
 
     states: Frame
     act_names: tuple[str, ...]
-    rows: tuple[tuple[float, ...] | None, ...]
     consequences: Frame | None
     utilities: UtilityTable | None
-    acts: tuple[Act | None, ...]
     mass: MassFunction | None
+    payoffs: np.ndarray
+    images: np.ndarray
 
     @property
     def n_acts(self) -> int:
         return len(self.act_names)
 
+    @property
+    def mapped(self) -> np.ndarray:
+        """Per act, whether it is consequence-mapped (its images are never empty)."""
+        return self.images[:, 0] != 0
+
+    @functools.cached_property
+    def _point(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per act, whether it is point-valued, and its utility row if it is.
+
+        A mapped act is point-valued when every image is a singleton
+        2**k (mantissa 0.5), and then its row holds the utilities of
+        those consequences k.
+        """
+        mapped = self.mapped
+        if not mapped.any():
+            return ~mapped, self.payoffs
+        fraction, exponent = np.frexp(self.images)
+        utilities = np.array(self.utilities.values)[exponent - 1]
+        return (~mapped | (fraction == 0.5).all(axis=1),
+                np.where(mapped[:, None], utilities, self.payoffs))
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[float, ...] | None, ...]:
+        """Act i's utility row when it is point-valued, else None."""
+        point, rows = self._point
+        return tuple(tuple(row) if p else None for row, p in zip(rows.tolist(), point.tolist()))
+
+    @functools.cached_property
+    def acts(self) -> tuple[Act | None, ...]:
+        """Act i as an :class:`Act` when it is consequence-mapped, else None."""
+        return tuple(Act(name, self.states, self.consequences, tuple(images)) if mapped else None
+                     for name, images, mapped in zip(self.act_names, self.images.tolist(),
+                                                     self.mapped.tolist()))
+
     def is_point_valued(self) -> bool:
-        return all(row is not None for row in self.rows)
+        return bool(self._point[0].all())
 
     def require_mass(self) -> MassFunction:
         if self.mass is None:
             raise ValidationError("this operation needs a mass function over the states")
         return self.mass
 
-    def payoff_matrix(self) -> PayoffMatrix:
-        if not self.is_point_valued():
-            multi = [n for n, r in zip(self.act_names, self.rows) if r is None]
+    def _point_payoffs(self) -> list[list[float]]:
+        point, rows = self._point
+        if not point.all():
+            multi = [n for n, p in zip(self.act_names, point.tolist()) if not p]
             raise ValidationError(
                 f"this operation needs point-valued acts; {multi!r} are multi-valued"
             )
-        return PayoffMatrix(self.act_names, self.states.labels, self.rows)
+        return rows.tolist()
+
+    def payoff_matrix(self) -> PayoffMatrix:
+        return PayoffMatrix(self.act_names, self.states.labels, self._point_payoffs())
 
     def gambles(self) -> list[Gamble]:
-        return [Gamble(self.states, row) for row in self.payoff_matrix().utilities]
+        return [Gamble(self.states, row) for row in self._point_payoffs()]
 
     def lottery(self, i: int) -> tuple[MassFunction, UtilityTable]:
         """The evidential lottery of act ``i`` and its utility table.
@@ -104,39 +157,23 @@ class DecisionProblem:
     def focal_table(self) -> FocalTable:
         """Every act's lottery, in act order, as :meth:`lottery` gives it.
 
-        A row act's cells are the focal sets, over its parsed row; no
-        lottery is built. A consequence-mapped act's cell for a focal set
-        is the union of its images over the set, taken for all such acts
-        at once from one acts × states image matrix; its equal images
-        merge with plain ``+`` in focal order and ascending image order,
-        as :func:`pushforward` merges them.
+        A row act's cells are the focal sets, over its row of
+        ``payoffs``; no lottery is built. Beside consequence-mapped acts,
+        a row act maps state k to {k} over the states, and
+        :meth:`FocalTable.of_images` takes every act's cells at once.
         """
-        m = self.require_mass()
-        mapped = [act.images for act in self.acts if act is not None]
-        if mapped and self.utilities is None:
+        m, mapped = self.require_mass(), self.mapped
+        if not mapped.any():
+            return FocalTable.of_rows(m, self.payoffs)
+        if self.utilities is None:
             raise ValidationError("consequence-mapped acts need a utility table")
-        rows = [row for row, act in zip(self.rows, self.acts) if act is None]
-        if not mapped:
-            return FocalTable.of_rows(m, rows)
-        focal, s = list(m.items()), self.states.size
-        inside = np.array(m.focal_sets())[:, None] >> np.arange(s) & 1 == 1
-        unions = np.bitwise_or.reduce(np.where(inside, np.array(mapped)[:, None, :], 0), axis=2)
-        unions, rows, width = iter(unions.tolist()), iter(rows), max(s, self.consequences.size)
-        frames, sizes, cells, utilities = [], [], [], []
-        for act in self.acts:
-            if act is None:
-                own, frame, row = focal, self.states, next(rows)
-            else:
-                merged: dict[int, float] = {}
-                for image, (_, v) in zip(next(unions), focal):
-                    merged[image] = merged.get(image, 0.0) + v
-                own, frame, row = sorted(merged.items()), self.consequences, self.utilities.values
-            frames.append(frame)
-            sizes.append(len(own))
-            cells += own
-            utilities.append(row + (0.0,) * (width - len(row)))
-        masks, masses = zip(*cells)
-        return FocalTable(frames, sizes, masks, masses, np.array(utilities))
+        s, c = self.states.size, self.consequences.size
+        utilities = np.zeros((self.n_acts, max(s, c)))
+        utilities[:, :s] = self.payoffs  # zeros for a mapped act
+        utilities[mapped, :c] = self.utilities.values
+        return FocalTable.of_images(
+            m, np.where(mapped[:, None], self.images, 1 << np.arange(s)),
+            [self.consequences if k else self.states for k in mapped.tolist()], utilities)
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-ready form; re-parses to an equivalent problem."""
@@ -206,7 +243,7 @@ def parse_number(value: Any, what: str) -> float:
 
 def _parse_numbers(values: list, what: str) -> tuple[float, ...]:
     """Every entry as :func:`parse_number` parses it, checked in one pass."""
-    top = sys.float_info.max
+    top = _FLOAT_MAX
     _expect(all(isinstance(v, (int, float)) and not isinstance(v, bool) and -top <= v <= top
                 for v in values), f"{what} must be a finite number")
     return tuple(map(float, values))
@@ -247,10 +284,13 @@ def _parse_subset(value: Any, frame: Frame, where: Callable[[], str]) -> int:
 
 def _parse_act_name(entry: Any, pos: int, names: dict[str, None]) -> str:
     """The unique, non-empty name of ``acts[pos]``, added to ``names``."""
-    _expect(isinstance(entry, dict), f"acts[{pos}] must be an object")
+    if not isinstance(entry, dict):
+        raise ValidationError(f"acts[{pos}] must be an object")
     name = entry.get("name")
-    _expect(isinstance(name, str) and name, f"acts[{pos}] needs a non-empty 'name'")
-    _expect(name not in names, f"duplicate act name {name!r}")
+    if not (isinstance(name, str) and name):
+        raise ValidationError(f"acts[{pos}] needs a non-empty 'name'")
+    if name in names:
+        raise ValidationError(f"duplicate act name {name!r}")
     names[name] = None
     return name
 
@@ -259,12 +299,15 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
     """Parse the shared focal/mass list fragment against ``frame``."""
     _expect(isinstance(doc, list) and doc, f"{where!r} must be a non-empty list")
     masses: dict[int, float] = {}
-    for pos, entry in enumerate(doc):
-        _expect(isinstance(entry, dict), f"{where}[{pos}] must be an object")
-        _expect("focal" in entry and "mass" in entry,
-                f"{where}[{pos}] needs 'focal' and 'mass' fields")
+    for pos, entry in enumerate(doc):  # messages are formatted only when a check fails
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}[{pos}] must be an object")
+        if not ("focal" in entry and "mass" in entry):
+            raise ValidationError(f"{where}[{pos}] needs 'focal' and 'mass' fields")
         mask = _parse_subset(entry["focal"], frame, lambda: f"{where}[{pos}].focal")
-        value = parse_number(entry["mass"], f"{where}[{pos}].mass")
+        value = entry["mass"]
+        if not (type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            value = parse_number(value, f"{where}[{pos}].mass")
         masses[mask] = masses.get(mask, 0.0) + value
     try:
         total = math.fsum(masses.values())
@@ -279,6 +322,15 @@ def parse_mass(doc: Any, frame: Frame, *, where: str = "mass") -> MassFunction:
 
 
 def parse_problem_dict(doc: Any) -> DecisionProblem:
+    """The problem of a parsed problem file, every field checked.
+
+    One pass over the acts checks each act's structure and collects its
+    row, or its images through a memo of the label lists met so far.
+    Then every row's numbers are checked at once (see
+    :func:`_check_rows`). An error at act k is raised only after the
+    rows of the acts before it pass that check, so the first error in
+    file order is the one reported.
+    """
     _check_fields(doc, "problem file", ("states", "acts"), ("consequences", "utilities", "mass"))
     states = _parse_labels(doc["states"], "states")
 
@@ -293,58 +345,63 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
         unknown = [c for c in table if c not in consequences.labels]
         _expect(not unknown, f"'utilities' names unknown consequences {unknown!r}")
         utilities = UtilityTable(
-            consequences, {c: parse_number(v, "every utility") for c, v in table.items()}
+            consequences, dict(zip(table, _parse_numbers(list(table.values()), "every utility")))
         )
     _expect(consequences is not None or "utilities" not in doc,
             "a 'utilities' table needs declared 'consequences'")
 
     acts_doc = doc["acts"]
     _expect(isinstance(acts_doc, list) and acts_doc, "'acts' must be a non-empty list")
+    labels, size = states.labels, states.size
+    keys = set(labels)
     names: dict[str, None] = {}
-    rows: list[tuple[float, ...] | None] = []
-    acts: list[Act | None] = []
-    for pos, entry in enumerate(acts_doc):
-        name = _parse_act_name(entry, pos, names)
-        has_row = "utilities" in entry
-        has_map = "consequences" in entry
-        _expect(
-            has_row != has_map,
-            f"act {name!r} must give either 'utilities' or 'consequences', not both",
-        )
-        if has_row:
-            row = entry["utilities"]
-            _expect(isinstance(row, list), f"act {name!r}: 'utilities' must be a list")
-            _expect(
-                len(row) == states.size,
-                f"act {name!r} has {len(row)} utilities for {states.size} states",
-            )
-            rows.append(_parse_numbers(row, f"act {name!r}: every utility"))
-            acts.append(None)
-        else:
-            _expect(
-                consequences is not None,
-                f"act {name!r} maps to consequences but the file declares none",
-            )
+    rows: dict[int, list] = {}  # act position -> utility row, for the row acts
+    images: dict[int, list[int]] = {}  # act position -> image bitmasks, for the mapped acts
+    memo: dict[tuple, int] = {}  # label list -> consequence bitmask
+    known = memo.get
+    # messages are formatted only when a check fails
+    try:
+        for pos, entry in enumerate(acts_doc):
+            name = _parse_act_name(entry, pos, names)
+            if ("utilities" in entry) == ("consequences" in entry):
+                raise ValidationError(
+                    f"act {name!r} must give either 'utilities' or 'consequences', not both")
+            if "utilities" in entry:
+                row = entry["utilities"]
+                if not isinstance(row, list):
+                    raise ValidationError(f"act {name!r}: 'utilities' must be a list")
+                if len(row) != size:
+                    raise ValidationError(
+                        f"act {name!r} has {len(row)} utilities for {size} states")
+                rows[pos] = row
+                continue
+            if consequences is None:
+                raise ValidationError(
+                    f"act {name!r} maps to consequences but the file declares none")
             mapping = entry["consequences"]
-            _expect(isinstance(mapping, dict), f"act {name!r}: 'consequences' must be an object")
-            missing = [s for s in states.labels if s not in mapping]
-            _expect(not missing, f"act {name!r} gives no consequences for states {missing!r}")
-            unknown = [s for s in mapping if s not in states.labels]
-            _expect(not unknown, f"act {name!r} names unknown states {unknown!r}")
-            images = tuple(
-                _parse_subset(mapping[s], consequences, lambda: f"act {name!r}, state {s!r}")
-                for s in states.labels
-            )
-            act = Act(name, states, consequences, images)
-            acts.append(act)
-            if act.is_point_valued():
-                rows.append(
-                    tuple(
-                        utilities.of_index(img.bit_length() - 1) for img in act.images
-                    )
-                )
-            else:
-                rows.append(None)
+            if not isinstance(mapping, dict):
+                raise ValidationError(f"act {name!r}: 'consequences' must be an object")
+            if mapping.keys() != keys:
+                missing = [s for s in labels if s not in mapping]
+                _expect(not missing, f"act {name!r} gives no consequences for states {missing!r}")
+                unknown = [s for s in mapping if s not in keys]
+                _expect(not unknown, f"act {name!r} names unknown states {unknown!r}")
+            try:
+                found = ([known(tuple(mapping[s])) for s in labels]
+                         if set(map(type, mapping.values())) == {list} else [None] * size)
+            except TypeError:  # an unhashable label
+                found = [None] * size
+            if None in found:  # a new label list, or an invalid entry: parsed in state order
+                for k, s in enumerate(labels):
+                    if found[k] is None:
+                        found[k] = memo[tuple(mapping[s])] = _parse_subset(
+                            mapping[s], consequences, lambda: f"act {name!r}, state {s!r}")
+            images[pos] = found
+    except ValidationError:
+        _check_rows(rows, list(names), size)
+        raise
+    payoffs = _placed(_check_rows(rows, list(names), size), list(rows), len(acts_doc))
+    image_matrix = np.array(list(images.values()), dtype=np.int64).reshape(len(images), size)
 
     mass = None
     if "mass" in doc:
@@ -353,12 +410,45 @@ def parse_problem_dict(doc: Any) -> DecisionProblem:
     return DecisionProblem(
         states=states,
         act_names=tuple(names),
-        rows=tuple(rows),
         consequences=consequences,
         utilities=utilities,
-        acts=tuple(acts),
         mass=mass,
+        payoffs=payoffs,
+        images=_placed(image_matrix, list(images), len(acts_doc)),
     )
+
+
+def _check_rows(rows: dict[int, list], names: list[str], size: int) -> np.ndarray:
+    """The rows as a float64 matrix, every entry checked as :func:`parse_number` checks it.
+
+    ``rows`` maps act positions to rows, and ``names`` holds the act
+    names in position order. All entries are checked at once: their
+    types, then their magnitudes after conversion, below the float
+    maximum. That fails for NaN and the infinities, for an integer too
+    large to convert, and for one that rounds to the maximum; only then
+    are the rows checked one by one, exactly, to name the first bad act.
+    """
+    flat = list(itertools.chain.from_iterable(rows.values()))
+    if _NUMBER_TYPES.issuperset(map(type, flat)):
+        try:
+            payoffs = np.array(flat, dtype=float).reshape(len(rows), size)
+        except OverflowError:  # an integer past the float range
+            pass
+        else:
+            if np.abs(payoffs).max(initial=0.0) < _FLOAT_MAX:
+                return payoffs
+    for pos, row in rows.items():
+        _parse_numbers(row, f"act {names[pos]!r}: every utility")
+    return np.array(flat, dtype=float).reshape(len(rows), size)  # the maximum, or subclasses
+
+
+def _placed(matrix: np.ndarray, at: list[int], n: int) -> np.ndarray:
+    """An n-row matrix with ``matrix``'s rows at the positions ``at`` and zeros elsewhere."""
+    if len(at) == n:
+        return matrix
+    out = np.zeros((n, matrix.shape[1]), dtype=matrix.dtype)
+    out[at] = matrix
+    return out
 
 
 def parse_problem(source: str | IO[str]) -> DecisionProblem:
@@ -429,7 +519,7 @@ def parse_index_file(doc: Any, problem: DecisionProblem) -> LocalPessimismIndex:
     _expect(isinstance(doc, list), "index file must be a JSON list of pair entries")
     _expect(problem.consequences is not None,
             "a pessimism-index table needs declared consequences in the problem file")
-    row_acts = [n for n, act in zip(problem.act_names, problem.acts) if act is None]
+    row_acts = [n for n, mapped in zip(problem.act_names, problem.mapped.tolist()) if not mapped]
     _expect(not row_acts, f"a pessimism-index table needs consequence-mapped acts; "
                           f"{row_acts!r} are given as utility rows")
     labels = problem.consequences.labels

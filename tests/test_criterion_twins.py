@@ -226,7 +226,6 @@ def probe_requests():
     return requests
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_probe_at_extreme_magnitudes_exits_cleanly():
     raised, non_finite, codes = [], [], []
     for doc, argv in probe_requests():

@@ -315,7 +315,6 @@ class TestOverflowReproductions:
         assert err == ("validation error: the lower previsions of the differences overflow "
                        "the float range\n")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_regrets_past_the_float_range(self, tmp_path):
         matrix = PayoffMatrix(["f", "g"], ["s0"], [[1.7e308], [-1.7e308]])
         with pytest.raises(ValueError, match="regrets overflow the float range"):

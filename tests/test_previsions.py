@@ -4,6 +4,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -564,9 +565,18 @@ def full_program_verdict(unit, m, i, tol=1e-8):
     return result.objective <= tol
 
 
+def maximal_up_to_rounding(gambles, m):
+    """The maximal set, reading a lead within a few units in the last place
+    of the utility range per focal set as the rounding tie it is."""
+    delta, _, _ = maximality_relation(gambles, m)
+    values = np.array([g.values for g in gambles])
+    bound = 4 * len(m) * np.finfo(float).eps * float(values.max() - values.min())
+    return np.flatnonzero(~(np.asarray(delta) > bound).any(axis=0)).tolist()
+
+
 def reference_e_admissible_set(gambles, m, tol=1e-8):
     """One full program per maximality survivor, as before row generation."""
-    _, _, candidates = maximality_relation(gambles, m)
+    candidates = maximal_up_to_rounding(gambles, m)
     unit = _unit_range(gambles)
     return [i for i in candidates if full_program_verdict(unit, m, i, tol)]
 
