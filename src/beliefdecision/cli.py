@@ -89,8 +89,7 @@ class Criterion(NamedTuple):
 
 
 def _ignorance(problem: DecisionProblem) -> FocalTable:
-    rows = problem.payoff_matrix().utilities
-    return FocalTable.of_rows(MassFunction.vacuous(problem.states), rows)
+    return FocalTable.of_rows(MassFunction.vacuous(problem.states), problem._point_payoffs())
 
 
 def _regret(problem: DecisionProblem, expected: bool = False) -> FocalTable:

@@ -8,7 +8,8 @@ the extreme points of the credal set.
 
 Subsets of a frame are encoded as integer bitmasks over the frame's
 declared element order, which makes subset algebra and equality exact.
-Frames are capped at 24 elements.
+Frames are capped at 24 elements. The kernels read a mass function's
+focal sets as its arrays ``masks``, ``masses`` and ``incidence``.
 
 Whole belief tables and their inversion use the fast zeta and Möbius
 transforms over all 2^n subsets, O(n·2^n) (Kennes & Smets 1990). They
@@ -133,10 +134,11 @@ class MassFunction:
 
     Every stored mass is strictly positive and the masses sum to one
     (tolerance 1e-9). Instances are immutable; all derived quantities
-    are computed on demand.
+    are computed on demand. :attr:`masks`, :attr:`masses` and
+    :attr:`incidence` are the focal sets as read-only arrays, built on first read.
     """
 
-    __slots__ = ("frame", "_focal")
+    __slots__ = ("frame", "_focal", "_arrays")
 
     def __init__(self, frame: Frame, masses: Mapping[SubsetLike, float]):
         focal: dict[int, float] = {}
@@ -160,6 +162,7 @@ class MassFunction:
             raise InvalidMassError("mass function has no focal sets")
         self.frame = frame
         self._focal = dict(sorted(focal.items()))
+        self._arrays = None  # (masks, masses, incidence), built on first read
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -180,6 +183,19 @@ class MassFunction:
 
     def focal_sets(self) -> tuple[int, ...]:
         return tuple(self._focal)
+
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            masks = np.fromiter(self._focal, np.int64, len(self._focal))
+            masses = np.fromiter(self._focal.values(), float, len(self._focal))
+            self._arrays = masks, masses, masks[:, None] >> np.arange(self.frame.size) & 1 == 1
+            for array in self._arrays:
+                array.flags.writeable = False
+        return self._arrays
+
+    masks = property(lambda self: self._layout()[0], doc="The focal bitmasks, ascending (int64).")
+    masses = property(lambda self: self._layout()[1], doc="The masses in mask order (float64).")
+    incidence = property(lambda self: self._layout()[2], doc="Bool row j marks focal set j.")
 
     def mass(self, subset: SubsetLike) -> float:
         return self._focal.get(self.frame.subset(subset), 0.0)
@@ -220,6 +236,7 @@ class MassFunction:
         out = MassFunction.__new__(MassFunction)
         out.frame = self.frame
         out._focal = {a: v / total for a, v in self._focal.items()}
+        out._arrays = None
         return out
 
     def _check_frame(self, other_frame: Frame) -> None:
@@ -362,8 +379,7 @@ def _fsum_cells(cells: np.ndarray, rows_of, sums: np.ndarray) -> np.ndarray:
 def _mass_vector(m: MassFunction) -> np.ndarray:
     """Masses indexed by subset bitmask, zero off the focal sets."""
     vec = np.zeros(m.frame.full_set + 1)
-    for a, v in m.items():
-        vec[a] = v
+    vec[m.masks] = m.masses
     return vec
 
 
@@ -440,17 +456,15 @@ def pushforward(m: MassFunction, act: "Act") -> MassFunction:
 
 def pignistic(m: MassFunction) -> tuple[float, ...]:
     """Probability vector splitting each focal mass equally among its elements."""
-    p = [0.0] * m.frame.size
-    for a, v in m.items():
-        share = v / a.bit_count()
-        for i in iter_elements(a):
-            p[i] += share
-    return tuple(p)
+    # bincount adds in index order, focal set by focal set, as p[state] += share does
+    focal, states = np.nonzero(m.incidence)
+    shares = m.masses / m.incidence.sum(axis=1)
+    return tuple(np.bincount(states, shares[focal], m.frame.size).tolist())
 
 
 def plausibility_transform(m: MassFunction) -> tuple[float, ...]:
     """Probability vector proportional to singleton plausibilities."""
-    pl = [plausibility(m, 1 << i) for i in range(m.frame.size)]
+    pl = [math.fsum(m.masses[inside].tolist()) for inside in m.incidence.T]
     total = math.fsum(pl)
     return tuple(v / total for v in pl)
 
@@ -471,21 +485,18 @@ def credal_vertices(m: MassFunction, *, allocation_cap: int = 10**6) -> list[tup
     Raises :class:`SizeLimitError` when the number of allocations would
     exceed ``allocation_cap``.
     """
-    focal = list(m.items())
     count = 1
-    for a, _ in focal:
-        count *= a.bit_count()
+    for size in m.incidence.sum(axis=1).tolist():
+        count *= size
         if count > allocation_cap:
             raise SizeLimitError(
                 f"{count}+ allocations exceed the cap of {allocation_cap}; "
                 "raise allocation_cap to enumerate anyway"
             )
-    element_lists = [list(iter_elements(a)) for a, _ in focal]
-    seen: set[tuple[float, ...]] = set()
-    vertices: list[tuple[float, ...]] = []
-    for choice in itertools.product(*element_lists):
+    masses, seen, vertices = m.masses.tolist(), set(), []
+    for choice in itertools.product(*(np.flatnonzero(row).tolist() for row in m.incidence)):
         p = [0.0] * m.frame.size
-        for (_, v), target in zip(focal, choice):
+        for v, target in zip(masses, choice):
             p[target] += v
         vec = tuple(p)
         key = tuple(round(x, 12) for x in vec)

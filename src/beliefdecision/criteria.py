@@ -61,16 +61,17 @@ class FocalTable:
     def __init__(self, frames: Sequence[Frame], sizes: Sequence[int], masks: Sequence[int],
                  masses: Sequence[float], utilities: np.ndarray):
         """Act i has ``sizes[i]`` of the cells and its utilities in ``utilities[i]``."""
-        self._build(frames, sizes, masses, utilities, np.asarray(masks, dtype=np.int64), 1)
+        masks = np.asarray(masks, dtype=np.int64)
+        inside = masks[:, None] >> np.arange(utilities.shape[1]) & 1 == 1
+        self._build(frames, sizes, masses, utilities, masks, inside, 1)
 
     @classmethod
     def of_rows(cls, m: MassFunction, rows: Sequence[Sequence[float]]) -> "FocalTable":
         """The lotteries ``(m, row)`` of utility rows over ``m``'s frame."""
         u = np.asarray(rows, dtype=float).reshape(len(rows), m.frame.size)
-        masks, masses = (np.array(column) for column in zip(*m.items()))
         table = cls.__new__(cls)
-        table._build((m.frame,) * len(u), (len(masks),) * len(u), _copies(masses, len(u)), u,
-                     masks, len(u))
+        table._build((m.frame,) * len(u), (len(m),) * len(u), _copies(m.masses, len(u)), u,
+                     m.masks, m.incidence, len(u))
         return table
 
     @classmethod
@@ -87,16 +88,14 @@ class FocalTable:
         position at a time, so each sum has the bits of
         ``merged.get(image, 0.0) + v``.
         """
-        masks, masses = (np.array(column) for column in zip(*m.items()))
-        inside = masks[:, None] >> np.arange(m.frame.size) & 1 == 1
-        unions = np.bitwise_or.reduce(np.where(inside, images[:, None, :], 0), axis=2)
+        unions = np.bitwise_or.reduce(np.where(m.incidence, images[:, None, :], 0), axis=2)
         order = np.argsort(unions, axis=1, kind="stable")
-        cells, sums = unions[np.arange(len(unions))[:, None], order], masses[order]
+        cells, sums = unions[np.arange(len(unions))[:, None], order], m.masses[order]
         first = np.ones(cells.shape, dtype=bool)
         first[:, 1:] = cells[:, 1:] != cells[:, :-1]
         if not first.all():
             # runs[k, r] is run r's k-th mass, in focal order; accumulate adds row by row
-            f = np.arange(len(masks))
+            f = np.arange(len(m))
             rank = f - np.maximum.accumulate(np.where(first, f, 0), axis=1)
             runs = np.zeros((int(rank.max()) + 1, int(first.sum())))
             runs[rank, np.cumsum(first).reshape(first.shape) - 1] = sums
@@ -104,23 +103,22 @@ class FocalTable:
         return cls(frames, first.sum(axis=1).tolist(), cells[first], sums[first], utilities)
 
     def _build(self, frames: Sequence[Frame], sizes: Sequence[int], masses: Sequence[float],
-               utilities: np.ndarray, layout: np.ndarray, copies: int) -> None:
+               utilities: np.ndarray, layout: np.ndarray, inside: np.ndarray, copies: int) -> None:
         """The table whose cells' masks are ``layout`` repeated ``copies`` times.
 
-        Each mask of ``layout`` gets its elements and size once. Each
-        cell then takes its act's utilities at its elements, in frame
-        order, in one boolean gather, and zeros in its padding.
+        Row j of ``inside`` marks the elements of ``layout[j]``. Each cell
+        takes its act's utilities at its elements, in frame order, in one
+        boolean gather, and zeros in its padding.
         """
         if not np.isfinite(utilities).all():
             raise ValueError("utilities must be finite")
         self.frames, self.starts = tuple(frames), [0, *itertools.accumulate(sizes)]
         self.masses = np.asarray(masses, float)
-        span = np.arange(utilities.shape[1])
-        inside = layout[:, None] >> span & 1 == 1
         self.masks, self.counts = _copies(layout, copies), _copies(inside.sum(axis=1), copies)
-        self._pad = span >= self.counts[:, None]
+        self._inside = _copies(inside, copies)
+        self._pad = np.arange(utilities.shape[1]) >= self.counts[:, None]
         self.values = np.zeros(self._pad.shape)
-        self.values[~self._pad] = np.repeat(utilities, sizes, axis=0)[_copies(inside, copies)]
+        self.values[~self._pad] = np.repeat(utilities, sizes, axis=0)[self._inside]
         self._cell = np.arange(len(self.values))
 
     def _low(self) -> np.ndarray:
@@ -195,8 +193,7 @@ class FocalTable:
     def jaffray(self, index: LocalPessimismIndex) -> list[float]:
         span, low, high, alphas = np.arange(self.values.shape[1]), self._low(), self._high(), []
         # each cell's elements in frame order, then the rest (the sort keys are distinct)
-        inside = self.masks[:, None] >> span & 1 == 1
-        elements = np.argsort(np.where(inside, span, span + len(span)), axis=1)
+        elements = np.argsort(np.where(self._inside, span, span + len(span)), axis=1)
         worst, best = (elements[self._cell, at].tolist() for at in (low, high))
         for frame, a, b in zip(self.frames, self.starts, self.starts[1:]):
             labels = frame.labels

@@ -94,12 +94,8 @@ def maximality_relation(
     never eliminates, even when the reverse comparison fails. Raises
     ``ValueError`` when one of them overflows the float range.
     """
-    if not gambles:
-        raise ValueError("need at least one gamble")
-    for g in gambles:
-        m._check_frame(g.frame)
-    n = len(gambles)
-    payoffs = np.array([g.values for g in gambles]).T.copy()  # one row per state
+    payoffs = _payoffs(gambles, m).T.copy()  # one row per state
+    n = payoffs.shape[1]
     rows = np.arange(n)
     # fsum sums signed steps; exact_sums resums each zero total from signed terms
     try:
@@ -159,10 +155,23 @@ def _mass_minimum_differences(payoffs: np.ndarray, m: MassFunction, rows: np.nda
         yield np.multiply(v, low, out=low)
 
 
+def _payoffs(gambles: Sequence[Gamble], m: MassFunction) -> np.ndarray:
+    """The acts × states array of the gambles' payoffs, each checked to be on ``m``'s frame."""
+    if not gambles:
+        raise ValueError("need at least one gamble")
+    for g in gambles:
+        m._check_frame(g.frame)
+    return np.array([g.values for g in gambles])
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):  # else no gamble, or every one, passes
+        raise ValueError(f"the e-admissibility tolerance must be finite and >= 0, got {tol!r}")
+
+
 def _allocation_layout(m: MassFunction) -> np.ndarray:
-    """(state index, focal position) rows, one per allocation variable."""
-    pairs = [(k, j) for j, (a, _) in enumerate(m.items()) for k in iter_elements(a)]
-    return np.array(pairs, dtype=np.intp)
+    """(state index, focal position) rows, one per allocation variable, in focal order."""
+    return np.argwhere(m.incidence)[:, ::-1]
 
 
 def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int) -> LinearProgram:
@@ -176,18 +185,17 @@ def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int)
     minimized; it reaches zero exactly when some compatible probability
     makes gamble ``i`` a best response.
     """
-    return _build_lp(np.array([g.payoffs for g in gambles]), m, i, _allocation_layout(m))
+    return _build_lp(_payoffs(gambles, m), m, i, _allocation_layout(m))
 
 
 def _build_lp(payoffs: np.ndarray, m: MassFunction, i: int, layout: np.ndarray) -> LinearProgram:
     """:func:`build_e_admissibility_lp` on a payoff matrix and ``m``'s allocation layout."""
     n, s = payoffs.shape
-    masses = [v for _, v in m.items()]
     states, focal = layout.T
-    n_alloc, n_focal = states.size, len(masses)
+    n_alloc, n_focal = states.size, len(m)
     alloc = np.arange(n_alloc)
     rhs = np.zeros(n_focal + s + n - 1)
-    rhs[:n_focal] = masses
+    rhs[:n_focal] = m.masses
     lhs = np.zeros((rhs.size, n_alloc + s + n - 1))
     # each focal mass fully allocated among its elements
     lhs[focal, alloc] = 1.0
@@ -217,26 +225,15 @@ def e_admissible(
     (largest payoff minus smallest). The witness is the first point
     found that meets it: one compatible probability, one credal vertex,
     or that vertex with some mass transferred off it.
-    Raises ``ValueError`` when that range overflows to infinity. Solver
-    failures raise :class:`SolverError`; they are never reported as
-    inadmissibility.
+    Raises ``ValueError`` when that range overflows to infinity, or when
+    ``tol`` is not a finite number >= 0. Solver failures raise
+    :class:`SolverError`; they are never reported as inadmissibility.
     """
-    if not gambles:
-        raise ValueError("need at least one gamble")
+    _check_tolerance(tol)
+    payoffs = _payoffs(gambles, m)
     if not 0 <= i < len(gambles):
         raise IndexError(f"gamble index {i} out of range")
-    for g in gambles:
-        m._check_frame(g.frame)
-    return _decide(_unit_payoffs(np.array([g.values for g in gambles]))[0], m, i, tol)
-
-
-def _unit_range(gambles: Sequence[Gamble]) -> Sequence[Gamble]:
-    """The gambles with their payoffs mapped by :func:`_unit_payoffs`."""
-    unit, span = _unit_payoffs(np.array([g.values for g in gambles]))
-    if span == 0.0:
-        return gambles
-    frame = gambles[0].frame
-    return [Gamble(frame, row) for row in unit.tolist()]
+    return _decide(_unit_payoffs(payoffs)[0], m, i, tol)
 
 
 def _unit_payoffs(payoffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -281,10 +278,7 @@ def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
         return True, p
     rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, at_p).argmax())
     top = _vertex_states(payoffs[i] - payoffs[rival], m)
-    vertex = [0.0] * m.frame.size
-    for k, (_, v) in zip(top, m.items()):
-        vertex[k] += v
-    vertex = tuple(vertex)
+    vertex = tuple(np.bincount(top, m.masses, m.frame.size).tolist())  # in focal order
     at_vertex = payoffs @ vertex
     if _slack_totals(at_vertex, [i])[0] <= tol:
         return True, vertex
@@ -310,7 +304,7 @@ def _vertex_states(gain: np.ndarray, m: MassFunction) -> list[int]:
     compatible probability, the competitor with the highest expectation
     there (lowest index on ties).
     """
-    return [max(iter_elements(a), key=lambda k: (gain[k], -k)) for a, _ in m.items()]
+    return np.where(m.incidence, gain, -math.inf).argmax(axis=1).tolist()
 
 
 def _transfer_layout(m: MassFunction, top: Sequence[int]) -> np.ndarray:
@@ -325,7 +319,7 @@ def _vertex_leads(payoffs: np.ndarray, m: MassFunction, i: int,
     """h, each other row of ``payoffs`` minus row ``i``, and h.v, its lead at
     the credal vertex v that puts each focal mass on its state in ``top``."""
     h = np.delete(payoffs, i, axis=0) - payoffs[i]
-    return h, h[:, top] @ np.array([v for _, v in m.items()])
+    return h, h[:, top] @ m.masses
 
 
 def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
@@ -346,7 +340,6 @@ def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[
     h, hv = _vertex_leads(payoffs, m, i, top)
     top = np.array(top, dtype=np.intp)
     states, focal = layout.T
-    masses = np.array([v for _, v in m.items()])
     # moved[l, t]: how much transfer t raises h_l.p per unit
     moved = h[:, states] - h[:, top[focal]]
     ahead = hv > 0.0
@@ -358,7 +351,7 @@ def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[
     lhs[n_f:, :n_t] = np.where(ahead[:, None], -moved, moved)
     lhs[n_f:, n_t:] = -np.eye(n_z)
     objective = np.concatenate([moved[ahead].sum(axis=0), np.ones(n_z)])
-    rhs = np.concatenate([masses[senders], np.abs(hv)])
+    rhs = np.concatenate([m.masses[senders], np.abs(hv)])
     return LinearProgram(objective, lhs, ("<=",) * rhs.size, rhs)
 
 
@@ -376,23 +369,20 @@ def _vertex_witness(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[
             f"e-admissibility program ended with status {result.status!r}; "
             "this program is feasible and bounded by construction"
         )
-    sent: list[list[tuple[int, float]]] = [[] for _ in top]
-    for (k, j), amount in zip(layout.tolist(), result.x):
-        sent[j].append((k, max(0.0, amount)))
-    witness = [0.0] * m.frame.size
-    for k, (_, v), moves in zip(top, m.items(), sent):
-        witness[k] += max(0.0, v - math.fsum(amount for _, amount in moves))
-        for state, amount in moves:
-            witness[state] += amount
-    return tuple(witness)
+    states, focal = layout.T
+    x = np.array(result.x[: states.size])
+    moved = np.where(x > 0.0, x, 0.0)  # max(0.0, x) per transfer
+    cuts = np.searchsorted(focal, np.arange(1, len(top)))
+    left = m.masses - [math.fsum(sent) for sent in np.split(moved, cuts)]
+    # per state, the shares in focal order, as a loop over the focal sets adds them
+    order = np.argsort(np.concatenate([np.arange(len(top)), focal]), kind="stable")
+    shares = np.concatenate([np.where(left > 0.0, left, 0.0), moved])[order]
+    return tuple(np.bincount(np.concatenate([top, states])[order], shares, m.frame.size).tolist())
 
 
 def _any_compatible_probability(m: MassFunction) -> tuple[float, ...]:
     """One compatible probability: send each focal mass to its lowest state."""
-    p = [0.0] * m.frame.size
-    for a, v in m.items():
-        p[next(iter_elements(a))] += v
-    return tuple(p)
+    return tuple(np.bincount(m.incidence.argmax(axis=1), m.masses, m.frame.size).tolist())
 
 
 def e_admissible_set(
@@ -411,10 +401,11 @@ def e_admissible_set(
     rounding but by less than ``tol`` is dropped here, though
     ``e_admissible`` accepts it. A witness found also accepts every
     later survivor whose slack total there is at most ``tol``, so
-    members often share a witness.
+    members often share a witness. ``tol`` must be finite and >= 0.
     """
+    _check_tolerance(tol)
     delta, _, _ = maximality_relation(gambles, m)
-    payoffs, span = _unit_payoffs(np.array([g.values for g in gambles]))
+    payoffs, span = _unit_payoffs(_payoffs(gambles, m))
     # each of a cell's |F| terms rounds by about eps * span
     rounding = 4 * len(m) * np.finfo(float).eps * span
     candidates = np.flatnonzero(~(np.asarray(delta) > rounding).any(axis=0)).tolist()

@@ -123,20 +123,21 @@ class DecisionProblem:
             raise ValidationError("this operation needs a mass function over the states")
         return self.mass
 
-    def _point_payoffs(self) -> list[list[float]]:
+    def _point_payoffs(self) -> np.ndarray:
+        """The acts × states utilities (float64, checked finite) when every act is point-valued."""
         point, rows = self._point
         if not point.all():
             multi = [n for n, p in zip(self.act_names, point.tolist()) if not p]
             raise ValidationError(
                 f"this operation needs point-valued acts; {multi!r} are multi-valued"
             )
-        return rows.tolist()
+        return rows
 
     def payoff_matrix(self) -> PayoffMatrix:
-        return PayoffMatrix(self.act_names, self.states.labels, self._point_payoffs())
+        return PayoffMatrix(self.act_names, self.states.labels, self._point_payoffs().tolist())
 
     def gambles(self) -> list[Gamble]:
-        return [Gamble(self.states, row) for row in self._point_payoffs()]
+        return [Gamble(self.states, row) for row in self._point_payoffs().tolist()]
 
     def lottery(self, i: int) -> tuple[MassFunction, UtilityTable]:
         """The evidential lottery of act ``i`` and its utility table.

@@ -3,10 +3,12 @@
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from beliefdecision import Frame, Gamble, MassFunction, PayoffMatrix
+from beliefdecision.previsions import _unit_payoffs
 
 # Under CI, property tests draw more examples and print the blob that
 # replays a failure, so that a counterexample found on one Python version
@@ -61,6 +63,15 @@ def payoff_with_dominated() -> PayoffMatrix:
 @pytest.fixture
 def gambles(states) -> list[Gamble]:
     return [Gamble(states, row) for row in UTILITY_ROWS]
+
+
+def _unit_range(gambles: list[Gamble]) -> list[Gamble]:
+    """The gambles with their payoffs mapped onto [0, 1] as e-admissibility maps them."""
+    unit, span = _unit_payoffs(np.array([g.values for g in gambles]))
+    if span == 0.0:
+        return gambles
+    frame = gambles[0].frame
+    return [Gamble(frame, row) for row in unit.tolist()]
 
 
 def random_mass(rng: random.Random, frame: Frame, *, max_focal: int = 4,

@@ -28,12 +28,11 @@ from beliefdecision import (
 )
 from beliefdecision.core import iter_elements
 from beliefdecision.previsions import (
-    _unit_range,
     build_e_admissibility_lp,
     e_admissibility_lp_text,
 )
 from beliefdecision.simplex import lp_text
-from conftest import UTILITY_ROWS, random_bayesian, random_frame, random_mass
+from conftest import UTILITY_ROWS, _unit_range, random_bayesian, random_frame, random_mass
 
 
 class TestPrevisions:

@@ -20,11 +20,10 @@ from beliefdecision.previsions import (
     _any_compatible_probability,
     _slack_totals,
     _transfer_layout,
-    _unit_range,
     _vertex_states,
     _vertex_witness,
 )
-from conftest import random_bayesian, random_frame, random_mass
+from conftest import _unit_range, random_bayesian, random_frame, random_mass
 from test_previsions import (_assert_witness_valid, full_objective, highs_verdict,
                               maximal_up_to_rounding)
 

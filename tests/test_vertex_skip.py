@@ -19,10 +19,10 @@ from beliefdecision.previsions import (
     _any_compatible_probability,
     _slack_totals,
     _transfer_layout,
-    _unit_range,
     _vertex_states,
     _vertex_witness,
 )
+from conftest import _unit_range
 from test_previsions import generation_problems, hundred_act_problem
 
 
