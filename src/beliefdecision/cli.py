@@ -21,10 +21,10 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .core import MassFunction, pignistic, plausibility_transform
-from .criteria import FocalTable, LocalPessimismIndex, hurwicz_blend
+from .criteria import FocalTable, LocalPessimismIndex, generalized_minimax_regret, hurwicz_blend
 from .errors import BeliefDecisionError, SolverError, ValidationError
 from .goals import classification_scores, deterministic_score, expected_score, goal_audit
-from .ignorance import minimax_regret, prune_dominated
+from .ignorance import prune_dominated
 from .previsions import E_ADMISSIBILITY_TOL, e_admissible_set, maximality_relation
 from .problems import (
     DecisionProblem,
@@ -92,10 +92,10 @@ def _ignorance(problem: DecisionProblem) -> FocalTable:
     return FocalTable.of_rows(MassFunction.vacuous(problem.states), problem._point_payoffs())
 
 
-def _regret(problem: DecisionProblem, expected: bool = False) -> FocalTable:
-    rows, _ = minimax_regret(problem.payoff_matrix())  # multi-valued acts fail first
+def _regret(problem: DecisionProblem, expected: bool = False) -> tuple[float, ...]:
+    matrix = problem.payoff_matrix()  # multi-valued acts fail first
     m = problem.require_mass() if expected else MassFunction.vacuous(problem.states)
-    return FocalTable.of_rows(m, rows)
+    return generalized_minimax_regret(matrix, m)
 
 
 def _bounds(inputs: Callable[[DecisionProblem], FocalTable]):
@@ -111,22 +111,21 @@ def _blend(bounds: tuple[list[float], list[float]], alpha: float) -> list[float]
 
 
 # Each criterion under ignorance is its belief-function twin under the
-# vacuous mass; the regret criteria take the upper expectation of each
-# act's regret row. ``owa`` comes last, as only ``sweep`` offers it.
+# vacuous mass; the regret criteria are ``generalized_minimax_regret``
+# under it or the file's mass. ``owa`` comes last, as only ``sweep`` offers it.
 _mass_bounds = _bounds(DecisionProblem.focal_table)
 CRITERIA = {
     "maximin": Criterion(_ignorance, FocalTable.lower),
     "maximax": Criterion(_ignorance, FocalTable.upper),
     "hurwicz": Criterion(_bounds(_ignorance), _blend, "alpha"),
     "laplace": Criterion(_ignorance, FocalTable.pignistic),
-    "regret": Criterion(_regret, FocalTable.upper, lower_better=True),
+    "regret": Criterion(_regret, list, lower_better=True),
     "lower": Criterion(DecisionProblem.focal_table, FocalTable.lower),
     "upper": Criterion(DecisionProblem.focal_table, FocalTable.upper),
     "ghurwicz": Criterion(_mass_bounds, _blend, "alpha"),
     "pignistic": Criterion(DecisionProblem.focal_table, FocalTable.pignistic),
     "gowa": Criterion(DecisionProblem.focal_table, FocalTable.owa, "beta"),
-    "gregret": Criterion(functools.partial(_regret, expected=True), FocalTable.upper,
-                         lower_better=True),
+    "gregret": Criterion(functools.partial(_regret, expected=True), list, lower_better=True),
     "jaffray": Criterion(DecisionProblem.focal_table, FocalTable.jaffray, "index"),
     "owa": Criterion(_ignorance, FocalTable.owa, "beta"),
 }

@@ -3,9 +3,12 @@
 A lottery is a mass function over consequences together with a utility
 table. Each criterion aggregates the utilities inside every focal set
 into one number and averages those by the focal masses, so all of them
-collapse to ordinary expected utility on Bayesian lotteries. Each is a
-reduction of one :class:`FocalTable`, which reads every focal set of
-every act once; the single-lottery functions score a one-act table.
+collapse to ordinary expected utility on Bayesian lotteries, and to the
+criteria of :mod:`beliefdecision.ignorance` under the vacuous mass. Each
+is a reduction of one :class:`FocalTable`, which reads every focal set of
+every act once; the single-lottery functions score a one-act table, and
+``score_ignorance`` and ``generalized_minimax_regret`` a vacuous or state
+mass's table of utility or regret rows, as the CLI does.
 The table holds one row per (act, focal set) cell. When every act's
 lottery has the state mass's focal sets, as utility rows do, the cells'
 layout (elements, sizes, padding) is worked out per focal set and

@@ -1,9 +1,11 @@
 """Decision criteria under total ignorance of the state of nature.
 
 Given only a payoff matrix: dominance pruning, the optimistic and
-pessimistic extremes, their convex blend, row averaging, smallest
-maximum regret, and rank-weighted (OWA) aggregation with
-maximum-entropy weights for a prescribed degree of optimism.
+pessimistic extremes, their convex blend and row averaging (each the
+belief-function criterion of :mod:`beliefdecision.criteria` under the
+vacuous mass, on its focal table), smallest maximum regret, and
+rank-weighted (OWA) aggregation with maximum-entropy weights for a
+prescribed degree of optimism.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import Frame, MassFunction
 from .errors import SolverError, UndefinedMeasureError
 
 OPTIMISM_TOL = 1e-8
@@ -92,23 +95,23 @@ def score_ignorance(
     """Per-act scores (higher better) for one of the four aggregation criteria.
 
     ``criterion`` is one of ``maximin``, ``maximax``, ``hurwicz`` (needs
-    the pessimism index ``alpha``), or ``laplace``.
+    the pessimism index ``alpha``), or ``laplace``: the lower and upper
+    expectations, their blend and the pignistic expected utility under the
+    vacuous mass, as ``beliefdec rank`` scores them.
     """
-    u = matrix.as_array()
-    if criterion == "maximin":
-        scores = u.min(axis=1)
-    elif criterion == "maximax":
-        scores = u.max(axis=1)
-    elif criterion == "hurwicz":
+    from .criteria import FocalTable, hurwicz_blend  # here, as criteria imports this module
+
+    if criterion == "hurwicz":
         if alpha is None:
             raise ValueError("the hurwicz criterion needs a pessimism index")
         _check_unit(alpha, "pessimism index")
-        scores = alpha * u.min(axis=1) + (1.0 - alpha) * u.max(axis=1)
-    elif criterion == "laplace":
-        scores = u.mean(axis=1)
-    else:
+    elif criterion not in ("maximin", "maximax", "laplace"):
         raise ValueError(f"unknown ignorance criterion {criterion!r}")
-    return tuple(float(s) for s in scores)
+    table = FocalTable.of_rows(MassFunction.vacuous(Frame(matrix.state_names)), matrix.as_array())
+    if criterion == "hurwicz":
+        return tuple(hurwicz_blend(low, up, alpha) for low, up in zip(table.lower(), table.upper()))
+    kernel = {"maximin": table.lower, "maximax": table.upper, "laplace": table.pignistic}
+    return tuple(kernel[criterion]())
 
 
 def minimax_regret(matrix: PayoffMatrix) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
@@ -154,6 +157,8 @@ def owa_aggregate(values: Sequence[float], weights: OwaWeights) -> float:
     """Weighted sum of the values sorted in decreasing order."""
     if len(values) != weights.arity:
         raise ValueError(f"{len(values)} values for {weights.arity} weights")
+    if not all(map(math.isfinite, values)):  # before sorting: NaN leaves the order undefined
+        raise ValueError("OWA values must be finite")
     ordered = sorted(values, reverse=True)
     return math.fsum(wi * xi for wi, xi in zip(weights.w, ordered))
 

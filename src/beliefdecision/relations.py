@@ -9,6 +9,7 @@ pairs only, in one boolean array or as scores; strictness is derived.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -283,7 +284,14 @@ def credal_order(m_x: RealMass, m_y: RealMass, relation: str) -> bool:
 
 def stochastic_dominance(dist_x: Sequence[tuple[float, float]],
                          dist_y: Sequence[tuple[float, float]]) -> bool:
-    """First-order dominance of two discrete distributions by direct tail comparison."""
+    """First-order dominance of two discrete distributions by direct tail comparison.
+
+    Each distribution is a sequence of (value, probability) pairs: values
+    and probabilities finite, probabilities nonnegative.
+    """
+    for value, p in itertools.chain(dist_x, dist_y):
+        if not (math.isfinite(value) and math.isfinite(p)) or p < 0:
+            raise ValueError(f"need a finite value and probability >= 0, got {(value, p)}")
     points = sorted({v for v, _ in dist_x} | {v for v, _ in dist_y})
     for x in points:
         tail_x = math.fsum(p for v, p in dist_x if v > x)

@@ -1,17 +1,21 @@
-"""``rank`` and ``sweep`` score each criterion under ignorance as its twin.
+"""``rank``, ``sweep`` and the library score each criterion under ignorance as its twin.
 
 Under the vacuous mass the belief-function criteria reduce to the
 criteria for decision under ignorance: the lower expectation is maximin,
 the upper maximax, the generalised Hurwicz and OWA criteria their plain
 forms, the pignistic expected utility Laplace's, and the expected
 maximal regret the maximal regret. The CLI scores both members of a
-pair through one table, so their outputs must agree byte for byte; the
-library's own ignorance kernels stay the references for the scores.
+pair through one table, so their outputs must agree byte for byte, and
+``score_ignorance`` scores on the same table. The references for the
+scores are independent of that table: ``reference_score_ignorance`` is
+the numpy arithmetic that ``score_ignorance`` used before, and
+``owa_aggregate`` sorts and sums on its own.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -23,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefdecision import (
+    Frame,
+    MassFunction,
     OwaWeights,
     PayoffMatrix,
     max_entropy_owa_weights,
@@ -31,6 +37,7 @@ from beliefdecision import (
     score_ignorance,
 )
 from beliefdecision.cli import main
+from beliefdecision.criteria import FocalTable
 
 # ignorance criterion -> its twin over a mass function, and its parameter
 RANK_TWINS = {
@@ -129,31 +136,81 @@ class TestTwinIdentity:
             assert run(doc, argv + [criterion]) == run(twin_doc, argv + [twin])
 
 
+def reference_score_ignorance(matrix, criterion, alpha=None):
+    """The numpy arithmetic ``score_ignorance`` had before it scored on the focal table."""
+    u = matrix.as_array()
+    if criterion == "maximin":
+        scores = u.min(axis=1)
+    elif criterion == "maximax":
+        scores = u.max(axis=1)
+    elif criterion == "hurwicz":
+        scores = alpha * u.min(axis=1) + (1.0 - alpha) * u.max(axis=1)
+    elif criterion == "laplace":
+        scores = u.mean(axis=1)
+    return tuple(float(s) for s in scores)
+
+
+def table_bits(matrix, criterion, alpha=None):
+    """The reference scores with the rounding and zero signs of the vacuous table.
+
+    The table passes each act's one extreme through ``math.fsum``, so a
+    zero takes the sign that fsum gives it, and blends those sums; Laplace
+    is an exact sum of the row, then a division.
+    """
+    if criterion == "laplace":
+        return tuple(math.fsum(row) / len(row) for row in matrix.utilities)
+    if criterion == "hurwicz":
+        lows, highs = table_bits(matrix, "maximin"), table_bits(matrix, "maximax")
+        return tuple(alpha * low + (1.0 - alpha) * high for low, high in zip(lows, highs))
+    return tuple(math.fsum([s]) for s in reference_score_ignorance(matrix, criterion))
+
+
+def signed(values):
+    """Each value with the sign ``math.copysign`` reads, so a zero's sign counts."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
 class TestReferences:
     @settings(max_examples=60, deadline=None)
     @given(problems(with_mass=False))
     def test_rank_scores_match_the_ignorance_kernels(self, doc):
         matrix = payoff(doc)
-        assert json_scores(doc, "maximin") == list(score_ignorance(matrix, "maximin"))
-        assert json_scores(doc, "maximax") == list(score_ignorance(matrix, "maximax"))
-        assert json_scores(doc, "hurwicz", "--alpha", "0.3") == list(
-            score_ignorance(matrix, "hurwicz", 0.3))
+        for criterion, options, alpha in (("maximin", (), None), ("maximax", (), None),
+                                          ("hurwicz", ("--alpha", "0.3"), 0.3),
+                                          ("laplace", (), None)):
+            scores = json_scores(doc, criterion, *options)
+            reference = reference_score_ignorance(matrix, criterion, alpha)
+            assert signed(score_ignorance(matrix, criterion, alpha)) == signed(scores)
+            assert signed(scores) == signed(table_bits(matrix, criterion, alpha))
+            if criterion != "laplace":
+                assert scores == list(reference)
+                continue
+            # fsum then divide against numpy's mean: equal up to the rounding of a sum
+            for score, ref, row in zip(scores, reference, matrix.utilities):
+                assert score == pytest.approx(ref, rel=1e-12, abs=1e-15 * max(map(abs, row)))
         assert json_scores(doc, "regret") == list(minimax_regret(matrix)[1])
-        # fsum then divide against numpy's mean: equal up to the rounding of a sum
-        for score, ref, row in zip(json_scores(doc, "laplace"), score_ignorance(matrix, "laplace"),
-                                   matrix.utilities):
-            assert score == pytest.approx(ref, rel=1e-12, abs=1e-15 * max(map(abs, row)))
 
     @settings(max_examples=40, deadline=None)
     @given(problems(with_mass=False))
     def test_sweep_scores_match_the_ignorance_kernels(self, doc):
         matrix = payoff(doc)
         for row in sweep_rows(doc, "hurwicz"):
+            assert row[1:] == list(reference_score_ignorance(matrix, "hurwicz", row[0]))
             assert row[1:] == list(score_ignorance(matrix, "hurwicz", row[0]))
         for row in sweep_rows(doc, "owa"):
             weights = (OwaWeights((1.0,)) if matrix.n_states == 1
                        else max_entropy_owa_weights(matrix.n_states, row[0]))
             assert row[1:] == [owa_aggregate(u, weights) for u in matrix.utilities]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(UTILITY, min_size=2, max_size=8),
+           st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]),
+                     st.floats(min_value=0.0, max_value=1.0)))
+    def test_owa_aggregate_equals_the_vacuous_table(self, row, beta):
+        m = MassFunction.vacuous(Frame([f"s{k}" for k in range(len(row))]))
+        weights = max_entropy_owa_weights(len(row), beta)
+        table = FocalTable.of_rows(m, [row])
+        assert signed([owa_aggregate(row, weights)]) == signed(table.owa(beta))
 
 
 def one_act(utilities, mass=None):
@@ -192,6 +249,35 @@ class TestFixedCases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(doc, ["rank", "--criterion", "regret"]) == (2, "")
+
+
+class TestLibraryScores:
+    """The changes ``score_ignorance`` callers see since it scores on the vacuous table."""
+
+    def test_laplace_sums_exactly_then_divides(self):
+        matrix = PayoffMatrix(["f"], ["s0", "s1", "s2"], [[0.1, 0.2, 0.3]])
+        assert score_ignorance(matrix, "laplace") == (0.19999999999999998,)
+        assert reference_score_ignorance(matrix, "laplace") == (0.20000000000000004,)
+
+    @pytest.mark.parametrize("criterion,alpha", [("maximin", None), ("maximax", None),
+                                                 ("hurwicz", 0.3)])
+    def test_a_lone_negative_zero_scores_zero(self, criterion, alpha):
+        matrix = PayoffMatrix(["f"], ["s0", "s1"], [[-0.0, -0.0]])
+        assert signed(reference_score_ignorance(matrix, criterion, alpha)) == [(0.0, -1.0)]
+        assert signed(score_ignorance(matrix, criterion, alpha)) == [(0.0, 1.0)]
+
+    def test_a_pignistic_overflow_is_a_value_error(self):
+        matrix = PayoffMatrix(["a"], ["s0", "s1"], [[1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="pignistic expected utility"):
+                score_ignorance(matrix, "laplace")
+
+    @pytest.mark.parametrize("states", [["s0", "s0"], [f"s{k}" for k in range(25)]])
+    def test_the_states_must_form_a_frame(self, states):
+        matrix = PayoffMatrix(["f"], states, [[1.0] * len(states)])
+        with pytest.raises(ValueError):
+            score_ignorance(matrix, "maximin")
 
 
 EXTREMES = [1.7e308, -1.7e308, 1e308, -1e308, 1e200, -1e200, 1.0, -1.0, 0.0, -0.0,

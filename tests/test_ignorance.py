@@ -172,6 +172,16 @@ class TestOwaWeights:
         with pytest.raises(ValueError):
             owa_aggregate((1.0, 2.0), OwaWeights((1.0,)))
 
+    @pytest.mark.parametrize("values", [
+        (float("nan"), 1.0),
+        (1.0, float("nan")),
+        (float("inf"), 1.0),
+        (float("inf"), -float("inf")),
+    ])
+    def test_aggregate_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            owa_aggregate(values, OwaWeights((0.5, 0.5)))
+
 
 class TestDegreeOfOptimism:
     def test_corners(self):

@@ -224,6 +224,23 @@ class TestCredalOrders:
             for order in ("pl_bel", "bel_bel", "pl_pl", "bel_pl"):
                 assert credal_order(m_x, m_y, order) == want
 
+    @pytest.mark.parametrize("bad", [
+        [(float("nan"), 1.0)],
+        [(float("inf"), 1.0)],
+        [(-float("inf"), 1.0)],
+        [(0.0, float("nan"))],
+        [(0.0, float("inf"))],
+        [(1.0, -0.5), (2.0, 1.5)],
+    ])
+    def test_stochastic_dominance_rejects_non_finite_or_negative_input(self, bad):
+        with pytest.raises(ValueError, match="finite value and probability"):
+            stochastic_dominance(bad, [(0.0, 1.0)])
+        with pytest.raises(ValueError, match="finite value and probability"):
+            stochastic_dominance([(0.0, 1.0)], bad)
+
+    def test_stochastic_dominance_keeps_zero_probabilities(self):
+        assert stochastic_dominance([(1.0, 1.0), (-5.0, -0.0)], [(0.0, 1.0)])
+
     def test_implication_lattice(self):
         rng = random.Random(48)
         for _ in range(500):
