@@ -89,7 +89,8 @@ class Criterion(NamedTuple):
 
 
 def _ignorance(problem: DecisionProblem) -> FocalTable:
-    return FocalTable.of_rows(MassFunction.vacuous(problem.states), problem._point_payoffs())
+    matrix = problem.payoff_matrix()
+    return FocalTable.of_rows(MassFunction.vacuous(matrix.states), matrix.as_array())
 
 
 def _regret(problem: DecisionProblem, expected: bool = False) -> tuple[float, ...]:
@@ -193,7 +194,7 @@ def cmd_choice(args) -> int:
         chosen = (interval_dominance_choice(lowers, uppers) if args.rule == "interval-dominance"
                   else maximal_elements(interval_bound_dominance(lowers, uppers)))
     elif args.rule == "maximality":
-        delta, _, chosen = maximality_relation(problem.gambles(), problem.require_mass())
+        delta, _, chosen = maximality_relation(problem.payoff_matrix(), problem.require_mass())
         header = "  ".join(names)
         extra_text.append(f"lower previsions of differences (rows minus columns): {header}")
         for i, row in enumerate(delta):
@@ -204,7 +205,7 @@ def cmd_choice(args) -> int:
         ]
     elif args.rule == "e-admissibility":
         chosen, witnesses = e_admissible_set(
-            problem.gambles(), problem.require_mass(), tol=args.tolerance
+            problem.payoff_matrix(), problem.require_mass(), tol=args.tolerance
         )
         for i in chosen:
             w = "  ".join(

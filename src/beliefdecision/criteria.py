@@ -276,7 +276,7 @@ def generalized_minimax_regret(matrix: PayoffMatrix, m: MassFunction) -> tuple[f
     the classical maximal regret for a logical mass on the whole frame,
     and ranks like expected utility for Bayesian masses.
     """
-    m._check_frame(Frame(matrix.state_names))
+    m._check_frame(matrix.states)
     regret, _ = minimax_regret(matrix)
     return tuple(FocalTable.of_rows(m, regret).upper())
 

@@ -28,13 +28,17 @@ def _check_unit(value: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffMatrix:
-    """Rectangular utility table: one row per act, one column per state."""
+    """Point-valued acts: the act names, a :class:`Frame` of the states and
+    one read-only float64 acts × states array, checked once and compared by
+    value. Every rule over point-valued acts reads it; the credal rules of
+    :mod:`beliefdecision.previsions` also take a list of gambles.
+    """
 
     act_names: tuple[str, ...]
-    state_names: tuple[str, ...]
-    utilities: tuple[tuple[float, ...], ...]
+    states: Frame
+    _values: np.ndarray
 
     def __init__(
         self,
@@ -44,7 +48,7 @@ class PayoffMatrix:
     ):
         acts = tuple(act_names)
         states = tuple(state_names)
-        rows = tuple(tuple(map(float, row)) for row in utilities)
+        rows = utilities if isinstance(utilities, np.ndarray) else list(utilities)
         if len(rows) != len(acts):
             raise ValueError(f"{len(acts)} act names but {len(rows)} utility rows")
         if not acts or not states:
@@ -52,11 +56,22 @@ class PayoffMatrix:
         for name, row in zip(acts, rows):
             if len(row) != len(states):
                 raise ValueError(f"act {name!r} has {len(row)} utilities for {len(states)} states")
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"act {name!r} has non-finite utilities")
+        values = np.array(rows, dtype=float).reshape(len(acts), len(states))
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"act {acts[finite.argmin()]!r} has non-finite utilities")
+        values.flags.writeable = False
         object.__setattr__(self, "act_names", acts)
-        object.__setattr__(self, "state_names", states)
-        object.__setattr__(self, "utilities", rows)
+        object.__setattr__(self, "states", Frame(states))
+        object.__setattr__(self, "_values", values)
+
+    @property
+    def state_names(self) -> tuple[str, ...]:
+        return self.states.labels
+
+    @property
+    def utilities(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self._values.tolist()))  # built on each read
 
     @property
     def n_acts(self) -> int:
@@ -64,10 +79,22 @@ class PayoffMatrix:
 
     @property
     def n_states(self) -> int:
-        return len(self.state_names)
+        return self.states.size
+
+    def __len__(self) -> int:
+        return self.n_acts
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.utilities, dtype=float)
+        return self._values  # the read-only array itself
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PayoffMatrix):
+            return NotImplemented
+        return (self.act_names == other.act_names and self.states == other.states
+                and np.array_equal(self._values, other._values))
+
+    def __hash__(self) -> int:
+        return hash((self.act_names, self.states, self.utilities))
 
 
 def prune_dominated(matrix: PayoffMatrix) -> tuple[list[int], list[tuple[int, int]]]:
@@ -107,7 +134,7 @@ def score_ignorance(
         _check_unit(alpha, "pessimism index")
     elif criterion not in ("maximin", "maximax", "laplace"):
         raise ValueError(f"unknown ignorance criterion {criterion!r}")
-    table = FocalTable.of_rows(MassFunction.vacuous(Frame(matrix.state_names)), matrix.as_array())
+    table = FocalTable.of_rows(MassFunction.vacuous(matrix.states), matrix.as_array())
     if criterion == "hurwicz":
         return tuple(hurwicz_blend(low, up, alpha) for low, up in zip(table.lower(), table.upper()))
     kernel = {"maximin": table.lower, "maximax": table.upper, "laplace": table.pignistic}
@@ -126,11 +153,7 @@ def minimax_regret(matrix: PayoffMatrix) -> tuple[tuple[tuple[float, ...], ...],
         regret = u.max(axis=0)[None, :] - u
     if not np.isfinite(regret).all():
         raise ValueError("the regrets overflow the float range")
-    max_regret = regret.max(axis=1)
-    return (
-        tuple(tuple(float(v) for v in row) for row in regret),
-        tuple(float(v) for v in max_regret),
-    )
+    return tuple(map(tuple, regret.tolist())), tuple(regret.max(axis=1).tolist())
 
 
 @dataclass(frozen=True)

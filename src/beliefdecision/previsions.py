@@ -5,6 +5,8 @@ induces lower/upper previsions (expectations bounds over the set of
 compatible probabilities); on top of these sit the maximality relation
 (nonnegative lower prevision of the difference) and e-admissibility
 (some single compatible probability makes the gamble a best response).
+The rules over several gambles read a payoff matrix's array as it is,
+or gather the payoffs of a list of gambles into one.
 The maximality matrix sums one term per focal set in each cell, with
 ``math.fsum``'s bits, from array passes (:func:`core.exact_sums`) in
 O(n²) memory. E-admissibility is decided by row generation over linear
@@ -25,6 +27,7 @@ import numpy as np
 from .core import EXACT_SUM_MIN_CELLS, MassFunction, UtilityTable, exact_sums, iter_elements
 from .criteria import lower_expectation, upper_expectation
 from .errors import FrameMismatchError, SolverError
+from .ignorance import PayoffMatrix
 from .relations import Relation
 from .simplex import LinearProgram, SimplexResult, lp_text, simplex_solve
 
@@ -81,10 +84,11 @@ def upper_prevision(m: MassFunction, gamble: Gamble) -> float:
 
 
 def maximality_relation(
-    gambles: Sequence[Gamble], m: MassFunction
+    gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction
 ) -> tuple[list[list[float]], Relation, list[int]]:
     """Pairwise lower previsions of differences, the induced relation, choice set.
 
+    ``gambles`` is a payoff matrix or a list of gambles on ``m``'s frame.
     Entry [i][j] is the lower prevision of gamble i minus gamble j;
     i is weakly preferred iff it is >= 0 and strictly iff > 0. The
     choice set keeps every gamble no other gamble strictly beats, so a
@@ -155,8 +159,12 @@ def _mass_minimum_differences(payoffs: np.ndarray, m: MassFunction, rows: np.nda
         yield np.multiply(v, low, out=low)
 
 
-def _payoffs(gambles: Sequence[Gamble], m: MassFunction) -> np.ndarray:
-    """The acts × states array of the gambles' payoffs, each checked to be on ``m``'s frame."""
+def _payoffs(gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction) -> np.ndarray:
+    """The acts × states payoffs, checked to be on ``m``'s frame: a matrix's
+    own read-only array, or a new array of the gambles' payoffs."""
+    if isinstance(gambles, PayoffMatrix):
+        m._check_frame(gambles.states)
+        return gambles.as_array()
     if not gambles:
         raise ValueError("need at least one gamble")
     for g in gambles:
@@ -174,9 +182,11 @@ def _allocation_layout(m: MassFunction) -> np.ndarray:
     return np.argwhere(m.incidence)[:, ::-1]
 
 
-def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int) -> LinearProgram:
+def build_e_admissibility_lp(gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction,
+                             i: int) -> LinearProgram:
     """The feasibility program deciding whether gamble ``i`` is e-admissible.
 
+    ``gambles`` is a payoff matrix or a list of gambles on ``m``'s frame.
     Variables: one allocation share per (state, focal set) incidence,
     one probability per state, one slack per competing gamble. Each
     focal mass must be fully allocated among its states, probabilities
@@ -185,7 +195,10 @@ def build_e_admissibility_lp(gambles: Sequence[Gamble], m: MassFunction, i: int)
     minimized; it reaches zero exactly when some compatible probability
     makes gamble ``i`` a best response.
     """
-    return _build_lp(_payoffs(gambles, m), m, i, _allocation_layout(m))
+    payoffs = _payoffs(gambles, m)
+    if not 0 <= i < len(payoffs):  # a negative index would name another gamble
+        raise IndexError(f"gamble index {i} out of range")
+    return _build_lp(payoffs, m, i, _allocation_layout(m))
 
 
 def _build_lp(payoffs: np.ndarray, m: MassFunction, i: int, layout: np.ndarray) -> LinearProgram:
@@ -204,7 +217,8 @@ def _build_lp(payoffs: np.ndarray, m: MassFunction, i: int, layout: np.ndarray) 
     lhs[n_focal + np.arange(s), n_alloc + np.arange(s)] = 1.0
     # gamble i must not be beaten by more than each competitor's slack
     competitors = lhs[n_focal + s :]
-    competitors[:, n_alloc : n_alloc + s] = payoffs[i] - np.delete(payoffs, i, axis=0)
+    with np.errstate(over="ignore"):  # an overflow leaves inf, which LinearProgram rejects
+        competitors[:, n_alloc : n_alloc + s] = payoffs[i] - np.delete(payoffs, i, axis=0)
     competitors[:, n_alloc + s :] = np.eye(n - 1)
     objective = np.zeros(lhs.shape[1])
     objective[n_alloc + s :] = 1.0
@@ -212,10 +226,12 @@ def _build_lp(payoffs: np.ndarray, m: MassFunction, i: int, layout: np.ndarray) 
 
 
 def e_admissible(
-    gambles: Sequence[Gamble], m: MassFunction, i: int, *, tol: float = E_ADMISSIBILITY_TOL
+    gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction, i: int, *,
+    tol: float = E_ADMISSIBILITY_TOL
 ) -> tuple[bool, tuple[float, ...] | None]:
     """Whether some compatible probability makes gamble ``i`` best overall.
 
+    ``gambles`` is a payoff matrix or a list of gambles on ``m``'s frame.
     Returns the verdict and, when admissible, the witnessing
     probability vector over the states. The verdict does not depend on
     the units of the utilities: the programs are built on the gambles
@@ -231,7 +247,7 @@ def e_admissible(
     """
     _check_tolerance(tol)
     payoffs = _payoffs(gambles, m)
-    if not 0 <= i < len(gambles):
+    if not 0 <= i < len(payoffs):
         raise IndexError(f"gamble index {i} out of range")
     return _decide(_unit_payoffs(payoffs)[0], m, i, tol)
 
@@ -386,10 +402,12 @@ def _any_compatible_probability(m: MassFunction) -> tuple[float, ...]:
 
 
 def e_admissible_set(
-    gambles: Sequence[Gamble], m: MassFunction, *, tol: float = E_ADMISSIBILITY_TOL
+    gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction, *,
+    tol: float = E_ADMISSIBILITY_TOL
 ) -> tuple[list[int], dict[int, tuple[float, ...]]]:
     """Indices of e-admissible gambles plus a witness per member.
 
+    ``gambles`` is a payoff matrix or a list of gambles on ``m``'s frame.
     Screens with the maximality matrix first: gamble i is dropped when
     the lower prevision of some g_j - g_i exceeds what rounding can add
     to that cell: 4 * |F| * eps times the utility range (largest payoff
@@ -423,8 +441,10 @@ def e_admissible_set(
     return sorted(witnesses), dict(sorted(witnesses.items()))
 
 
-def e_admissibility_lp_text(gambles: Sequence[Gamble], m: MassFunction, i: int) -> str:
-    """Debug dump of the program for gamble ``i`` as plain-text equations."""
+def e_admissibility_lp_text(gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction,
+                            i: int) -> str:
+    """Debug dump of the program for gamble ``i`` of a payoff matrix or a
+    list of gambles, as plain-text equations."""
     lp = build_e_admissibility_lp(gambles, m, i)
     layout = _allocation_layout(m).tolist()
     names = [f"a[{m.frame.labels[k]},F{j + 1}]" for k, j in layout]

@@ -27,7 +27,8 @@ rows, and the int64 consequence bitmasks of the mapped acts. Every
 utility is checked at once (types, exact range, then ``np.isfinite``),
 and each consequence list is parsed once per file. The focal table of
 the criteria is built from these matrices; per-act ``Act`` objects and
-rows are built only when read.
+rows are built only when read. When every act is point-valued, the
+rules over point-valued acts read the utility matrix as one ``PayoffMatrix``.
 
 The goal, classification, mass and pessimism-index files are parsed
 here too, under the same rules: labels are unique strings, subsets are
@@ -52,7 +53,6 @@ from .criteria import FocalTable, LocalPessimismIndex
 from .errors import BeliefDecisionError, FrameMismatchError, ValidationError
 from .goals import GoalSystem
 from .ignorance import PayoffMatrix
-from .previsions import Gamble
 
 _FLOAT_MAX = sys.float_info.max
 _NUMBER_TYPES = frozenset((int, float))  # not bool, which is a type of its own
@@ -123,21 +123,15 @@ class DecisionProblem:
             raise ValidationError("this operation needs a mass function over the states")
         return self.mass
 
-    def _point_payoffs(self) -> np.ndarray:
-        """The acts × states utilities (float64, checked finite) when every act is point-valued."""
+    def payoff_matrix(self) -> PayoffMatrix:
+        """Every act's utility row as one payoff matrix, when every act is point-valued."""
         point, rows = self._point
         if not point.all():
             multi = [n for n, p in zip(self.act_names, point.tolist()) if not p]
             raise ValidationError(
                 f"this operation needs point-valued acts; {multi!r} are multi-valued"
             )
-        return rows
-
-    def payoff_matrix(self) -> PayoffMatrix:
-        return PayoffMatrix(self.act_names, self.states.labels, self._point_payoffs().tolist())
-
-    def gambles(self) -> list[Gamble]:
-        return [Gamble(self.states, row) for row in self._point_payoffs().tolist()]
+        return PayoffMatrix(self.act_names, self.states.labels, rows)
 
     def lottery(self, i: int) -> tuple[MassFunction, UtilityTable]:
         """The evidential lottery of act ``i`` and its utility table.

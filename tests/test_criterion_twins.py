@@ -34,6 +34,7 @@ from beliefdecision import (
     max_entropy_owa_weights,
     minimax_regret,
     owa_aggregate,
+    prune_dominated,
     score_ignorance,
 )
 from beliefdecision.cli import main
@@ -275,9 +276,11 @@ class TestLibraryScores:
 
     @pytest.mark.parametrize("states", [["s0", "s0"], [f"s{k}" for k in range(25)]])
     def test_the_states_must_form_a_frame(self, states):
-        matrix = PayoffMatrix(["f"], states, [[1.0] * len(states)])
-        with pytest.raises(ValueError):
-            score_ignorance(matrix, "maximin")
+        # the constructor raises, so no rule receives such a matrix
+        for rule in (lambda matrix: score_ignorance(matrix, "maximin"), prune_dominated,
+                     minimax_regret):
+            with pytest.raises(ValueError, match="frame"):
+                rule(PayoffMatrix(["f"], states, [[1.0] * len(states)]))
 
 
 EXTREMES = [1.7e308, -1.7e308, 1e308, -1e308, 1e200, -1e200, 1.0, -1.0, 0.0, -0.0,

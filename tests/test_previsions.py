@@ -471,6 +471,14 @@ class TestEAdmissibility:
         with pytest.raises(IndexError):
             e_admissible(gambles, scenario_mass, 9)
 
+    @pytest.mark.parametrize("i", [-2, len(UTILITY_ROWS)])
+    def test_the_programs_take_no_index_out_of_range(self, scenario_mass, gambles, payoff, i):
+        # -2 would dump the program of gamble n - 2 under another gamble's slack labels
+        for acts in (gambles, payoff):
+            for rule in (e_admissible, build_e_admissibility_lp, e_admissibility_lp_text):
+                with pytest.raises(IndexError, match=f"gamble index {i} out of range"):
+                    rule(acts, scenario_mass, i)
+
 
 @st.composite
 def integer_problems(draw):
