@@ -9,11 +9,11 @@ The rules over several gambles read a payoff matrix's array as it is,
 or gather the payoffs of a list of gambles into one.
 The maximality matrix sums one term per focal set in each cell, with
 ``math.fsum``'s bits, from array passes (:func:`core.exact_sums`) in
-O(n²) memory. E-admissibility is decided by row generation over linear
-programs that start at a credal vertex, each focal mass on one of its
-states, and move mass off it by transfers; a round in which no active
-competitor is ahead at that vertex solves no program, since the vertex
-is its optimum. The allocation program of
+O(n²) memory. E-admissibility is decided over the mixtures of credal
+vertices (each focal mass on one of its states) by master programs of
+a row per competitor met so far plus a convexity row; a vertex joins
+when the master's duals price it, a rejection carries those duals as
+its certificate. The allocation program of
 :func:`build_e_admissibility_lp` is kept for inspection and reference.
 """
 
@@ -240,16 +240,19 @@ def e_admissible(
     far each beats gamble ``i``, as a fraction of the utility range
     (largest payoff minus smallest). The witness is the first point
     found that meets it: one compatible probability, one credal vertex,
-    or that vertex with some mass transferred off it.
-    Raises ``ValueError`` when that range overflows to infinity, or when
-    ``tol`` is not a finite number >= 0. Solver failures raise
-    :class:`SolverError`; they are never reported as inadmissibility.
+    or a mixture of credal vertices. A rejection rests on weights in
+    [0, 1] on the competitors whose weighted lead on gamble ``i`` has a
+    lower prevision above ``tol``. Raises ``ValueError`` when that range
+    overflows to infinity, or when ``tol`` is not a finite number >= 0.
+    Solver failures raise :class:`SolverError`; they are never reported
+    as inadmissibility.
     """
     _check_tolerance(tol)
     payoffs = _payoffs(gambles, m)
     if not 0 <= i < len(payoffs):
         raise IndexError(f"gamble index {i} out of range")
-    return _decide(_unit_payoffs(payoffs)[0], m, i, tol)
+    verdict, point = _decide(_unit_payoffs(payoffs)[0], m, i, tol)
+    return verdict, point if verdict else None
 
 
 def _unit_payoffs(payoffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -274,19 +277,20 @@ def _slack_totals(values: np.ndarray, rows: Sequence[int]) -> np.ndarray:
 
 
 def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
-            tol: float) -> tuple[bool, tuple[float, ...] | None]:
-    """The verdict and witness for gamble ``i`` of gambles already on [0, 1].
+            tol: float) -> tuple[bool, tuple[float, ...]]:
+    """The verdict for gamble ``i`` of gambles already on [0, 1], with its
+    witness, or with its certificate y (one weight per gamble) when rejected.
 
-    Row generation: accept at the first point where the full program's
-    objective is at most ``tol``, trying one compatible probability, one
-    credal vertex, then the witnesses of vertex programs over the
-    competitors met so far. A slack total over those competitors above
-    ``tol`` at such a witness rejects (it is that program's optimum, and
-    more rows cannot lower it); else the competitor ahead by most there
-    (lowest index on ties) joins. When no active competitor is ahead at
-    the vertex (h.v <= 0 for each, computed as the program computes it),
-    the program has no negative cost, so its all-slack start is optimal
-    and its witness is the vertex itself: such a round solves nothing.
+    Accepts at the first point whose slack total is at most ``tol``: one
+    compatible probability, one credal vertex v0, then the witnesses of
+    :func:`_master_program` over the competitors and vertices met so
+    far. Where only the active competitors' total is, the one ahead by
+    most (lowest index on ties) joins; else the duals y price the vertex
+    of least sum of y_l h_l (h_l: competitor l minus gamble ``i``). Its
+    ``lower_prevision`` above ``tol`` plus rounding bounds every
+    compatible probability's slack total: ``i`` is rejected. Else the
+    vertex joins, or if it is no new one the next competitor; with all
+    in, a total within rounding of ``tol`` is a tie, and accepted.
     """
     p = _any_compatible_probability(m)
     at_p = payoffs @ p
@@ -294,111 +298,96 @@ def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
         return True, p
     rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, at_p).argmax())
     top = _vertex_states(payoffs[i] - payoffs[rival], m)
-    vertex = tuple(np.bincount(top, m.masses, m.frame.size).tolist())  # in focal order
-    at_vertex = payoffs @ vertex
-    if _slack_totals(at_vertex, [i])[0] <= tol:
-        return True, vertex
-    layout, rows = _transfer_layout(m, top), sorted([i, rival])
+    vertices, priced, active = [_vertex(top, m)], {tuple(top)}, [rival]
+    # what rounding can add to a slack total or a bound on [0, 1]
+    rounding = 4 * len(payoffs) * (len(payoffs) + m.frame.size) * np.finfo(float).eps
     while True:
-        if (_vertex_leads(payoffs[rows], m, rows.index(i), top)[1] > 0.0).any():
-            witness = _vertex_witness(payoffs[rows], m, rows.index(i), top, layout)
-            values = payoffs @ witness
-        else:  # the program's all-slack start is optimal: no transfer, the vertex
-            witness, values = vertex, at_vertex.copy()
-        if _slack_totals(values[rows], [rows.index(i)])[0] > tol:
-            return False, None
-        if len(rows) == len(payoffs) or _slack_totals(values, [i])[0] <= tol:
-            return True, witness
-        values[rows] = -math.inf
-        rows = sorted([*rows, int(values.argmax())])
+        h = payoffs[active] - payoffs[i]
+        witness, y = _master_solution(h, np.array(vertices))
+        values = payoffs @ witness
+        total, full = _slack_totals(values, [i])[0], len(active) == len(payoffs) - 1
+        if total <= tol:
+            return True, tuple(witness.tolist())
+        if full or np.maximum(values[active] - values[i], 0.0).sum() > tol:
+            gamble = y @ h
+            if lower_prevision(m, Gamble(m.frame, gamble)) > tol + rounding:
+                certificate = np.zeros(len(payoffs))
+                certificate[active] = y
+                return False, tuple(certificate.tolist())
+            top = _vertex_states(-gamble, m)
+            if tuple(top) not in priced:
+                priced.add(tuple(top))
+                vertices.append(_vertex(top, m))
+                continue
+        # no vertex lowers the master's optimum below the bound, at most tol up
+        # to rounding: the next competitor joins, or a tie that only rounding
+        # breaks is accepted
+        if full and total <= tol + rounding:
+            return True, tuple(witness.tolist())
+        if full:
+            raise SolverError("the master's duals neither price a new vertex nor certify")
+        values[[i, *active]] = -math.inf
+        active = sorted([*active, int(values.argmax())])
 
 
 def _vertex_states(gain: np.ndarray, m: MassFunction) -> list[int]:
-    """Per focal set, its state of greatest ``gain``, the lowest on ties.
-
-    In :func:`_decide` the gain is gamble i's lead on its rival at one
-    compatible probability, the competitor with the highest expectation
-    there (lowest index on ties).
-    """
+    """Per focal set, its state of greatest ``gain``, the lowest on ties."""
     return np.where(m.incidence, gain, -math.inf).argmax(axis=1).tolist()
 
 
-def _transfer_layout(m: MassFunction, top: Sequence[int]) -> np.ndarray:
-    """The rows of ``m``'s allocation layout off each focal set's vertex
-    state in ``top``, one per transfer."""
-    layout = _allocation_layout(m)
-    return layout[layout[:, 0] != np.asarray(top)[layout[:, 1]]]
+def _vertex(top: Sequence[int], m: MassFunction) -> np.ndarray:
+    """The credal vertex that puts each focal mass on its state in ``top``."""
+    return np.bincount(top, m.masses, m.frame.size)
 
 
-def _vertex_leads(payoffs: np.ndarray, m: MassFunction, i: int,
-                  top: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """h, each other row of ``payoffs`` minus row ``i``, and h.v, its lead at
-    the credal vertex v that puts each focal mass on its state in ``top``."""
-    h = np.delete(payoffs, i, axis=0) - payoffs[i]
-    return h, h[:, top] @ m.masses
+def _master_program(h: np.ndarray, vertices: np.ndarray) -> LinearProgram:
+    """The slack-total program over the mixtures of ``vertices`` (one per row).
 
-
-def _vertex_program(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
-                    layout: np.ndarray) -> LinearProgram:
-    """Gamble ``i``'s slack-total program over the rows of ``payoffs``, started
-    at the credal vertex v that puts each focal mass on its state in ``top``.
-
-    Variables: one transfer per row of ``layout`` (see
-    :func:`_transfer_layout`), moving that much of the focal set's mass
-    from its vertex state to the state, then one slack z per competitor.
-    A focal set sends at most its mass. With h = competitor minus gamble
-    ``i`` and p = v plus the transfers, a competitor with h.v <= 0 has
-    the row h.p <= z and costs z; one with h.v > 0 has the row
-    -h.p <= z and costs h.p - h.v + z, since max(0, x) = x + max(0, -x).
-    Every row is ``<=`` with rhs a mass or |h.v|, so the all-slack basis
-    is feasible and the simplex runs no phase one.
+    Variables: a weight mu_v on each vertex after v0, which takes the
+    rest (row sum(mu) <= 1), then a slack z per row h of ``h``. With
+    p = v0 + sum(mu_v (v - v0)), h.p <= z costs z if h.v0 <= 0; else
+    -h.p <= z costs h.p - h.v0 + z, as max(0, x) = x + max(0, -x). Every
+    rhs is 1 or |h.v0|, so the simplex starts at the all-slack basis.
     """
-    h, hv = _vertex_leads(payoffs, m, i, top)
-    top = np.array(top, dtype=np.intp)
-    states, focal = layout.T
-    # moved[l, t]: how much transfer t raises h_l.p per unit
-    moved = h[:, states] - h[:, top[focal]]
-    ahead = hv > 0.0
-    # a focal set with no transfers (a singleton) needs no row
-    senders, focal_row = np.unique(focal, return_inverse=True)
-    n_t, n_z, n_f = states.size, len(h), senders.size
-    lhs = np.zeros((n_f + n_z, n_t + n_z))
-    lhs[focal_row, np.arange(n_t)] = 1.0
-    lhs[n_f:, :n_t] = np.where(ahead[:, None], -moved, moved)
-    lhs[n_f:, n_t:] = -np.eye(n_z)
-    objective = np.concatenate([moved[ahead].sum(axis=0), np.ones(n_z)])
-    rhs = np.concatenate([m.masses[senders], np.abs(hv)])
-    return LinearProgram(objective, lhs, ("<=",) * rhs.size, rhs)
+    lead = h @ vertices[0]
+    ahead = lead > 0.0
+    # moved[l, v]: how much a unit of mu_v raises h_l.p
+    moved = h @ (vertices[1:] - vertices[0]).T
+    k, n_mu = moved.shape
+    lhs = np.zeros((k + 1, n_mu + k))
+    lhs[0, :n_mu] = 1.0
+    lhs[1:, :n_mu] = np.where(ahead[:, None], -moved, moved)
+    lhs[1:, n_mu:] = -np.eye(k)
+    objective = np.concatenate([moved[ahead].sum(axis=0), np.ones(k)])
+    return LinearProgram(objective, lhs, ("<=",) * (k + 1), np.concatenate([[1.0], np.abs(lead)]))
 
 
-def _vertex_witness(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
-                    layout: np.ndarray) -> tuple[float, ...]:
-    """The probability at the optimum of :func:`_vertex_program`.
+def _master_solution(h: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture at :func:`_master_program`'s optimum, weights clipped at 0,
+    and y in [0, 1]^k: minus each row's dual, or 1 plus it if ahead at v0.
 
-    Each focal set keeps on its vertex state what it does not transfer,
-    max(0, mass - fsum of its transfers), and adds each transfer to its
-    state.
+    A master over v0 alone solves no program: v0 is its optimum, and y
+    is 1 on each competitor ahead there.
     """
-    result = simplex_solve(_vertex_program(payoffs, m, i, top, layout))
+    ahead = h @ vertices[0] > 0.0
+    if len(vertices) == 1:
+        return vertices[0], ahead.astype(float)
+    result = simplex_solve(_master_program(h, vertices))
     if result.status != "optimal":
         raise SolverError(
             f"e-admissibility program ended with status {result.status!r}; "
             "this program is feasible and bounded by construction"
         )
-    states, focal = layout.T
-    x = np.array(result.x[: states.size])
-    moved = np.where(x > 0.0, x, 0.0)  # max(0.0, x) per transfer
-    cuts = np.searchsorted(focal, np.arange(1, len(top)))
-    left = m.masses - [math.fsum(sent) for sent in np.split(moved, cuts)]
-    # per state, the shares in focal order, as a loop over the focal sets adds them
-    order = np.argsort(np.concatenate([np.arange(len(top)), focal]), kind="stable")
-    shares = np.concatenate([np.where(left > 0.0, left, 0.0), moved])[order]
-    return tuple(np.bincount(np.concatenate([top, states])[order], shares, m.frame.size).tolist())
+    mu = np.maximum(result.x[: len(vertices) - 1], 0.0)
+    weights = np.concatenate([[max(0.0, 1.0 - math.fsum(mu))], mu])
+    duals = np.array(result.duals[1:])
+    y = np.where(ahead, 1.0 + duals, -duals)
+    return weights @ vertices, np.clip(y, 0.0, 1.0)
 
 
 def _any_compatible_probability(m: MassFunction) -> tuple[float, ...]:
     """One compatible probability: send each focal mass to its lowest state."""
-    return tuple(np.bincount(m.incidence.argmax(axis=1), m.masses, m.frame.size).tolist())
+    return tuple(_vertex(m.incidence.argmax(axis=1), m).tolist())
 
 
 def e_admissible_set(

@@ -1,15 +1,16 @@
 """Dense-tableau two-phase simplex with Bland's anti-cycling rule.
 
 Solves linear programs deterministically with no external dependencies
-beyond numpy. The e-admissibility programs run from a few variables
-(a dozen gambles) to a few hundred: the vertex program of a gamble
-against 99 competitors on 8 states and 13 focal sets has 112 rows and
-139 variables. Its rows are all ``<=`` with a nonnegative rhs, so its
-113 x 252 tableau starts at the all-slack basis and phase one never
-runs; the allocation program of the same gamble has 120 rows
-and 160 variables, and a 121 x 380 tableau. Each pivot is a handful of
-array operations over the dense tableau; the entering and leaving
-choices are the ones a row-by-row scan makes, ties included.
+beyond numpy. The e-admissibility master programs have one row per
+active competitor plus a convexity row, whatever the number of states
+and focal sets: a gamble against 6 competitors over 4 generated
+vertices has 7 rows and 9 variables. Its rows are all ``<=`` with a
+nonnegative rhs, so its tableau starts at the all-slack basis and phase
+one never runs; the allocation program of a gamble against 99
+competitors on 8 states and 13 focal sets has 120 rows and 160
+variables, and a 121 x 380 tableau. Each pivot is a handful of array
+operations over the dense tableau; the entering and leaving choices are
+the ones a row-by-row scan makes, ties included.
 
 A :class:`LinearProgram` holds read-only float64 arrays, checked once
 when it is made; :func:`simplex_solve` copies them into its tableau and
@@ -23,7 +24,9 @@ above a fraction of its scaled rhs (at least 1); only then is the
 program infeasible. A returned solution that breaks a scaled row or
 bound by more than that raises :class:`SolverError`. Programs on [0, 1]
 are rescaled too where a row peaks below 1; that they take the unscaled
-pivots was measured on the benchmark, not proven.
+pivots was measured on the benchmark, not proven. Phase two keeps the
+artificial columns, never entering them, so the final cost row holds
+minus each row's dual at the row's starting basic column.
 """
 
 from __future__ import annotations
@@ -102,10 +105,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """``duals``: per row, the rate at which the optimum moves with its rhs,
+    as scipy's ``marginals``; duals . rhs = objective when x >= 0."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float | None
     x: tuple[float, ...] | None
     iterations: int
+    duals: tuple[float, ...] | None = None
 
 
 def lp_text(lp: LinearProgram, names: Sequence[str] | None = None) -> str:
@@ -216,8 +223,9 @@ def _exponents(peaks: np.ndarray) -> np.ndarray:
 def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> SimplexResult:
     """Solve a linear program; deterministic for identical inputs.
 
-    Returns a :class:`SimplexResult` with status ``optimal`` (optimum
-    and a basic optimal solution), ``infeasible`` or ``unbounded``.
+    Returns a :class:`SimplexResult` with status ``optimal`` (optimum,
+    a basic optimal solution and its row duals), ``infeasible`` or
+    ``unbounded``.
     Raises :class:`SolverError` when the iteration cap is exceeded or
     the tableau degrades numerically; solver trouble is never reported
     as a decision status.
@@ -255,10 +263,10 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
     art_cols = n + n_slack + np.arange(n_art)
     tableau[slack_rows, slack_cols] = -sign[slack_rows]
     tableau[art_rows, art_cols] = 1.0
-    basis = np.empty(m, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols
-    basis = basis.tolist()
+    start = np.empty(m, dtype=int)  # an identity: a slack or an artificial per row
+    start[slack_rows] = slack_cols
+    start[art_rows] = art_cols
+    basis = start.tolist()
 
     iterations = 0
     if n_art:
@@ -288,17 +296,11 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
                 if hits.size:
                     _pivot(tableau, basis, i, int(hits[0]), work)
                     iterations += 1
-        # phase two never reads the artificial columns that left the basis
-        kept = sorted(col for col in basis if col >= n + n_slack)
-        tableau = tableau[:, list(range(n + n_slack)) + kept + [total]]
-        work = np.empty_like(tableau)
-        renamed = {col: n + n_slack + k for k, col in enumerate(kept)}
-        basis = [renamed.get(col, col) for col in basis]
-        total = n + n_slack + len(kept)
 
     # phase two over the scaled objective, artificial columns excluded
     c = np.ldexp(lp.objective, col_exp)
-    c = np.ldexp(c, _exponents(np.abs(c).max(initial=0.0)))
+    objective_exp = _exponents(np.abs(c).max(initial=0.0))
+    c = np.ldexp(c, objective_exp)
     tableau[-1, :] = 0.0
     tableau[-1, :n] = -c if lp.maximize else c
     for i in range(m):
@@ -318,6 +320,10 @@ def simplex_solve(lp: LinearProgram, *, max_iterations: int | None = None) -> Si
     if broken.any() or x[:n].min(initial=0.0) < -FEASIBILITY_TOL * size:
         raise SolverError("the solution breaks a constraint; the tableau is numerically corrupt")
     solution = shift + lp.lower_bounds
-    return SimplexResult(
-        "optimal", float(lp.objective @ solution), tuple(solution.tolist()), iterations
-    )
+    # the cost row holds c - y.A, so -y under the starting identity
+    y = -tableau[-1, start]
+    duals = np.ldexp(np.where(flip, -y, y), row_exp - objective_exp)
+    if lp.maximize:
+        duals = -duals
+    return SimplexResult("optimal", float(lp.objective @ solution), tuple(solution.tolist()),
+                         iterations, tuple(duals.tolist()))

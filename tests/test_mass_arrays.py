@@ -17,16 +17,11 @@ from hypothesis import strategies as st
 
 from beliefdecision import Frame, MassFunction, pignistic, plausibility, plausibility_transform
 from beliefdecision.core import iter_elements
-from beliefdecision.errors import SolverError
 from beliefdecision.previsions import (
     _allocation_layout,
     _any_compatible_probability,
-    _transfer_layout,
-    _unit_payoffs,
-    _vertex_program,
+    _vertex,
     _vertex_states,
-    _vertex_witness,
-    simplex_solve,
 )
 
 TINY = (5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-200, 1e-12)
@@ -61,24 +56,12 @@ def reference_vertex_states(gain: np.ndarray, m: MassFunction) -> list[int]:
     return [max(iter_elements(a), key=lambda k: (gain[k], -k)) for a, _ in m.items()]
 
 
-def reference_vertex_witness(payoffs: np.ndarray, m: MassFunction, i: int, top: Sequence[int],
-                             layout: np.ndarray) -> tuple[float, ...]:
-    """The probability at the optimum of :func:`_vertex_program`."""
-    result = simplex_solve(_vertex_program(payoffs, m, i, top, layout))
-    if result.status != "optimal":
-        raise SolverError(
-            f"e-admissibility program ended with status {result.status!r}; "
-            "this program is feasible and bounded by construction"
-        )
-    sent: list[list[tuple[int, float]]] = [[] for _ in top]
-    for (k, j), amount in zip(layout.tolist(), result.x):
-        sent[j].append((k, max(0.0, amount)))
-    witness = [0.0] * m.frame.size
-    for k, (_, v), moves in zip(top, m.items(), sent):
-        witness[k] += max(0.0, v - math.fsum(amount for _, amount in moves))
-        for state, amount in moves:
-            witness[state] += amount
-    return tuple(witness)
+def reference_vertex(top: Sequence[int], m: MassFunction) -> tuple[float, ...]:
+    """The credal vertex with each focal mass on its state in ``top``, added in focal order."""
+    vertex = [0.0] * m.frame.size
+    for k, (_, v) in zip(top, m.items()):
+        vertex[k] += v
+    return tuple(vertex)
 
 
 def reference_any_compatible_probability(m: MassFunction) -> tuple[float, ...]:
@@ -176,34 +159,10 @@ class TestKernelsAgainstTheLoops:
         assert type(top) is list and all(type(k) is int for k in top)
         assert top == reference_vertex_states(gain, m)
 
-    @given(masses(max_states=6, max_focal=12),
-           st.lists(st.lists(st.integers(0, 6), min_size=6, max_size=6), min_size=2,
-                    max_size=6),
-           st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_vertex_witness(self, m, rows, data):
-        payoffs = _unit_payoffs(np.array(rows, dtype=float)[:, : m.frame.size])[0]
-        i = data.draw(st.integers(0, len(rows) - 1))
-        rival = data.draw(st.integers(0, len(rows) - 1).filter(lambda k: k != i))
-        top = _vertex_states(payoffs[i] - payoffs[rival], m)
-        layout = _transfer_layout(m, top)
-        try:
-            expected = reference_vertex_witness(payoffs, m, i, top, layout)
-        except SolverError:
-            with pytest.raises(SolverError):
-                _vertex_witness(payoffs, m, i, top, layout)
-            return
-        assert bits(_vertex_witness(payoffs, m, i, top, layout)) == bits(expected)
-
-    def test_vertex_witness_adds_in_focal_order(self):
-        # here adding every kept share before the transfers gives s1 0.306712962962963
-        # against the loop's 0.30671296296296297
-        frame = Frame(["s0", "s1", "s2"])
-        weights = {7: 7, 1: 4, 3: 2, 6: 8, 2: 1, 5: 7, 4: 7}
-        m = MassFunction(frame, {a: w / 36 for a, w in weights.items()})
-        rows = [[0, 14, 8], [7, 18, 3], [10, 0, 0], [0, 20, 17], [0, 12, 6], [13, 0, 16]]
-        payoffs = _unit_payoffs(np.array(rows, dtype=float))[0]
-        top = _vertex_states(payoffs[1] - payoffs[4], m)
-        layout = _transfer_layout(m, top)
-        witness = _vertex_witness(payoffs, m, 1, top, layout)
-        assert bits(witness) == bits(reference_vertex_witness(payoffs, m, 1, top, layout))
+    @given(masses_and_gains())
+    @settings(max_examples=300, deadline=None)
+    def test_vertex_witness(self, case):
+        # the credal vertex that is the witness when no program is needed
+        m, gain = case
+        top = _vertex_states(gain, m)
+        assert bits(_vertex(top, m).tolist()) == bits(reference_vertex(top, m))

@@ -4,20 +4,27 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefdecision import (
+    Frame,
     InvalidMassError,
+    MassFunction,
     RealMass,
     Relation,
+    UtilityTable,
     credal_order,
     greatest_elements,
     interval_bound_dominance,
     interval_dominance,
     interval_dominance_choice,
+    lower_expectation,
     maximal_elements,
     relation_from_choice_set,
     stochastic_dominance,
     transitive_closure,
+    upper_expectation,
 )
 
 # expectation intervals of the four demo stocks
@@ -210,6 +217,33 @@ class TestRealMass:
     def test_rejects_non_finite_focal_values(self, focal):
         with pytest.raises(InvalidMassError, match="non-finite"):
             RealMass([(focal, 1.0)])
+
+
+@st.composite
+def real_masses_and_maps(draw):
+    """A mass on up to five finite sets of reals, and a map of its support."""
+    keys = draw(st.lists(st.frozensets(st.integers(-5, 5), min_size=1, max_size=4),
+                         min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+    m = RealMass((sorted(key), w / sum(weights)) for key, w in zip(keys, weights))
+    images = draw(st.lists(st.floats(-1e6, 1e6), min_size=11, max_size=11))
+    return m, lambda x: images[int(x) + 5]
+
+
+class TestRealMassPrevisions:
+    @settings(max_examples=300, deadline=None)
+    @given(real_masses_and_maps())
+    def test_lower_and_upper_of_are_the_expectation_bounds(self, case):
+        # the same lottery as a mass on a frame of the support's points,
+        # each point's utility its image under fn
+        m, fn = case
+        support = m.support()
+        frame = Frame([repr(x) for x in support])
+        mass = MassFunction(frame, {tuple(repr(x) for x in key): v
+                                    for key, v in m.focal.items()})
+        table = UtilityTable(frame, [fn(x) for x in support])
+        assert m.lower_of(fn) == lower_expectation(mass, table)
+        assert m.upper_of(fn) == upper_expectation(mass, table)
 
 
 class TestCredalOrders:

@@ -436,3 +436,103 @@ class TestPhaseOne:
                            ["<=", "<=", "="], [-2e6, 0.0, 2.0])
         with pytest.raises(SolverError, match="breaks a constraint"):
             simplex_solve(lp)
+
+
+# -- row duals: feasible, y.b = optimum, HiGHS's marginals where unique ---------
+
+
+@st.composite
+def dual_programs(draw):
+    """Mixed senses, rhs of either sign (flipped rows), rows scaled by 1e-3 to
+    1e3, lower bounds of either sign and either direction."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=0, max_value=5))
+    scales = [10.0 ** draw(st.integers(min_value=-3, max_value=3)) for _ in range(rows)]
+    lhs = [[v * k for v in draw(st.lists(SMALL, min_size=n, max_size=n))] for k in scales]
+    rhs = [draw(SMALL) * k for k in scales]
+    return LinearProgram(
+        draw(st.lists(SMALL, min_size=n, max_size=n)),
+        lhs,
+        draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=rows, max_size=rows)),
+        rhs,
+        lower_bounds=draw(st.none() | st.lists(SMALL, min_size=n, max_size=n)),
+        maximize=draw(st.booleans()),
+    )
+
+
+def _optimal(lp):
+    try:
+        result = simplex_solve(lp)
+    except SolverError:
+        return None
+    return result if result.status == "optimal" else None
+
+
+class TestDuals:
+    @settings(max_examples=600, deadline=None)
+    @given(dual_programs())
+    def test_dual_feasibility_and_strong_duality(self, lp):
+        result = _optimal(lp)
+        if result is None:
+            return
+        y = np.array(result.duals)
+        assert y.shape == (lp.n_rows,)
+        # as a minimization: c - A'y >= 0, y <= 0 on <= rows and >= 0 on >= rows
+        sign = -1.0 if lp.maximize else 1.0
+        reduced = sign * (lp.objective - lp.lhs.T @ y)
+        size = 1.0 + np.abs(lp.lhs).T @ np.abs(y) + np.abs(lp.objective)
+        assert (reduced >= -1e-9 * size).all()
+        for sense, dual, row in zip(lp.senses, sign * y, np.abs(lp.lhs).max(axis=1, initial=1.0)):
+            assert {"<=": dual <= 1e-9 / row, "=": True, ">=": dual >= -1e-9 / row}[sense]
+        shifted = lp.rhs - lp.lhs @ lp.lower_bounds
+        value = y @ shifted + lp.objective @ lp.lower_bounds
+        magnitude = 1.0 + np.abs(y) @ np.abs(shifted) + np.abs(lp.objective) @ np.abs(lp.lower_bounds)
+        assert value == pytest.approx(result.objective, abs=1e-9 * magnitude)
+
+    @settings(max_examples=600, deadline=None)
+    @given(dual_programs())
+    def test_unique_duals_are_highs_marginals(self, lp):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        result = _optimal(lp)
+        if result is None:
+            return
+        x = np.array(result.x) - lp.lower_bounds
+        eq = np.array([sense == "=" for sense in lp.senses], dtype=bool)
+        slack = np.abs(lp.rhs - lp.lhs @ np.array(result.x))
+        scale = 1.0 + np.abs(lp.rhs) + np.abs(lp.lhs) @ np.abs(np.array(result.x))
+        # a basic solution with every basic variable off zero has one dual
+        positive = (x > 1e-9).sum() + ((slack > 1e-9 * scale) & ~eq).sum()
+        if positive != lp.n_rows:
+            return
+        flip = np.array([-1.0 if sense == ">=" else 1.0 for sense in lp.senses])
+        out = linprog(-lp.objective if lp.maximize else lp.objective,
+                      A_ub=(lp.lhs * flip[:, None])[~eq] if (~eq).any() else None,
+                      b_ub=(lp.rhs * flip)[~eq] if (~eq).any() else None,
+                      A_eq=lp.lhs[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
+                      bounds=list(zip(lp.lower_bounds.tolist(), [None] * lp.n_vars)),
+                      method="highs")
+        assert out.status == 0
+        marginals = np.zeros(lp.n_rows)
+        if (~eq).any():
+            marginals[~eq] = out.ineqlin.marginals * flip[~eq]
+        if eq.any():
+            marginals[eq] = out.eqlin.marginals
+        if lp.maximize:
+            marginals = -marginals
+        assert np.allclose(result.duals, marginals, rtol=1e-6, atol=1e-9)
+
+    def test_equality_row_dual_comes_from_the_basis(self):
+        # min x + 2y, x + y = 3 (dual 1, a row with no slack), y >= 1 (dual 1)
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], ["=", ">="], [3.0, 1.0])
+        result = simplex_solve(lp)
+        assert result.objective == 4.0 and result.duals == (1.0, 1.0)
+        # the same rows negated and maximized: each dual changes sign twice
+        lp = LinearProgram([-1.0, -2.0], [[-1.0, -1.0], [0.0, -1.0]], ["=", "<="],
+                           [-3.0, -1.0], maximize=True)
+        result = simplex_solve(lp)
+        assert result.objective == -4.0 and result.duals == (1.0, 1.0)
+
+    def test_no_duals_without_an_optimum(self):
+        assert simplex_solve(LinearProgram([1.0], [[1.0], [1.0]], [">=", "<="],
+                                           [2.0, 1.0])).duals is None
+        assert simplex_solve(LinearProgram([-1.0], [], [], [])).duals is None

@@ -1,9 +1,10 @@
-"""E-admissibility rounds the credal vertex already solves run no program.
+"""E-admissibility rounds whose master has no vertex column run no program.
 
-``solve_every_round`` is the row generation as it was before the skip:
-it solves the vertex program in every round, even one where no active
-competitor is ahead at the vertex. The skip must leave every choice set
-and every witness as that gives them, with fewer programs.
+``solve_every_round`` is the decision with that skip taken out: it
+solves the master program in every round (``solve_every_master``), even
+one over the first vertex alone, whose only variables are the slacks.
+The skip must leave every choice set, witness and certificate as that
+gives them, with fewer programs.
 """
 
 import math
@@ -17,40 +18,37 @@ from beliefdecision import previsions
 from beliefdecision.previsions import (
     E_ADMISSIBILITY_TOL,
     _any_compatible_probability,
-    _slack_totals,
-    _transfer_layout,
+    _decide,
+    _master_program,
+    _master_solution,
+    _vertex,
     _vertex_states,
-    _vertex_witness,
 )
 from conftest import _unit_range
 from test_previsions import generation_problems, hundred_act_problem
 
 
+def solve_every_master(h, vertices):
+    """``_master_solution`` with no skip: the master over v0 alone is solved too."""
+    result = previsions.simplex_solve(_master_program(h, vertices))
+    assert result.status == "optimal"
+    mu = np.maximum(result.x[: len(vertices) - 1], 0.0)
+    weights = np.concatenate([[max(0.0, 1.0 - math.fsum(mu))], mu])
+    duals = np.array(result.duals[1:])
+    y = np.where(h @ vertices[0] > 0.0, 1.0 + duals, -duals)
+    return weights @ vertices, np.clip(y, 0.0, 1.0)
+
+
 def solve_every_round(payoffs, m, i, tol):
-    p = _any_compatible_probability(m)
-    rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, payoffs @ p).argmax())
-    top = _vertex_states(payoffs[i] - payoffs[rival], m)
-    vertex = [0.0] * m.frame.size
-    for k, (_, v) in zip(top, m.items()):
-        vertex[k] += v
-    for point in (p, tuple(vertex)):
-        if _slack_totals(payoffs @ point, [i])[0] <= tol:
-            return True, point
-    layout, rows = _transfer_layout(m, top), sorted([i, rival])
-    while True:
-        witness = _vertex_witness(payoffs[rows], m, rows.index(i), top, layout)
-        values = payoffs @ witness
-        if _slack_totals(values[rows], [rows.index(i)])[0] > tol:
-            return False, None
-        if len(rows) == len(payoffs) or _slack_totals(values, [i])[0] <= tol:
-            return True, witness
-        values[rows] = -math.inf
-        rows = sorted([*rows, int(values.argmax())])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(previsions, "_master_solution", solve_every_master)
+        return _decide(payoffs, m, i, tol)
 
 
 def decide_all(gambles, m, decide):
-    """Every act's verdict and witness from ``decide``, the choice set and
-    witnesses of ``e_admissible_set`` under it, and the programs solved."""
+    """Every act's verdict and witness or certificate from ``decide``, the
+    choice set and witnesses of ``e_admissible_set`` under it, and the
+    programs solved."""
     solved = []
     solve = previsions.simplex_solve
 
@@ -89,26 +87,18 @@ class TestSkippedRounds:
         assert new < old
 
     def test_skipped_round_would_take_no_pivot(self):
-        # the round skipped is one whose program starts optimal: same vertex,
-        # no transfer, and the simplex makes no pivot
+        # the round skipped is one whose master, over the slacks alone,
+        # starts optimal: no pivot, the first vertex, and y = 1 exactly on
+        # the competitors ahead there
         m, gambles = hundred_act_problem(1)
         payoffs = np.array([g.values for g in _unit_range(gambles)])
-        skipped = 0
+        p = _any_compatible_probability(m)
         for i in range(len(gambles)):
-            p = _any_compatible_probability(m)
             rival = int(np.where(np.arange(len(payoffs)) == i, -math.inf, payoffs @ p).argmax())
-            top = _vertex_states(payoffs[i] - payoffs[rival], m)
-            rows = sorted([i, rival])
-            _, lead = previsions._vertex_leads(payoffs[rows], m, rows.index(i), top)
-            if (lead > 0.0).any():
-                continue
-            skipped += 1
-            vertex = [0.0] * m.frame.size
-            for k, (_, v) in zip(top, m.items()):
-                vertex[k] += v
-            layout = _transfer_layout(m, top)
-            lp = previsions._vertex_program(payoffs[rows], m, rows.index(i), top, layout)
-            result = previsions.simplex_solve(lp)
+            v0 = _vertex(_vertex_states(payoffs[i] - payoffs[rival], m), m)
+            h = payoffs[[rival]] - payoffs[i]
+            result = previsions.simplex_solve(_master_program(h, v0[None, :]))
             assert result.status == "optimal" and result.iterations == 0
-            assert _vertex_witness(payoffs[rows], m, rows.index(i), top, layout) == tuple(vertex)
-        assert skipped > 0
+            solved, skipped = solve_every_master(h, v0[None, :]), _master_solution(h, v0[None, :])
+            assert solved[0].tolist() == skipped[0].tolist() == v0.tolist()
+            assert solved[1].tolist() == skipped[1].tolist() == (h @ v0 > 0.0).tolist()
