@@ -13,14 +13,18 @@ O(n²) memory. E-admissibility is decided over the mixtures of credal
 vertices (each focal mass on one of its states) by master programs of
 a row per competitor met so far plus a convexity row; a vertex joins
 when the master's duals price it, a rejection carries those duals as
-its certificate. The allocation program of
-:func:`build_e_admissibility_lp` is kept for inspection and reference.
+its certificate. Each master is min c.x subject to Ax <= b, b >= 0,
+x >= 0, and a dense tableau solves it from the all-slack basis by
+Bland's rule (Bland 1977): no phase one, no scaling. Its x and duals
+must certify each other on the master's data; should float rounding
+break that, the master is solved again with exact fractions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,11 +33,16 @@ from .criteria import lower_expectation, upper_expectation
 from .errors import FrameMismatchError, SolverError
 from .ignorance import PayoffMatrix
 from .relations import Relation
-from .simplex import LinearProgram, SimplexResult, lp_text, simplex_solve
 
 # a fraction of the utility range: e-admissibility programs are built on
 # gambles mapped onto [0, 1]
 E_ADMISSIBILITY_TOL = 1e-8
+# the master simplex's entering and pivot threshold, and the slack of the
+# certificate its answer must pass, so how much of a slack total it cannot
+# resolve: a master on [0, 1] can hinge on a reduced cost of about 1e-11, and at
+# 1e-9 the simplex stopped short of an optimum its duals certify. Ratio ties are
+# exact: a tie band as wide would join ratios of 1e-11 that differ
+MASTER_TOL = 1e-12
 
 
 class Gamble(UtilityTable):
@@ -177,54 +186,6 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"the e-admissibility tolerance must be finite and >= 0, got {tol!r}")
 
 
-def _allocation_layout(m: MassFunction) -> np.ndarray:
-    """(state index, focal position) rows, one per allocation variable, in focal order."""
-    return np.argwhere(m.incidence)[:, ::-1]
-
-
-def build_e_admissibility_lp(gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction,
-                             i: int) -> LinearProgram:
-    """The feasibility program deciding whether gamble ``i`` is e-admissible.
-
-    ``gambles`` is a payoff matrix or a list of gambles on ``m``'s frame.
-    Variables: one allocation share per (state, focal set) incidence,
-    one probability per state, one slack per competing gamble. Each
-    focal mass must be fully allocated among its states, probabilities
-    collect the allocations, and each competitor's expectation may
-    exceed gamble ``i``'s by at most its slack. The slack total is
-    minimized; it reaches zero exactly when some compatible probability
-    makes gamble ``i`` a best response.
-    """
-    payoffs = _payoffs(gambles, m)
-    if not 0 <= i < len(payoffs):  # a negative index would name another gamble
-        raise IndexError(f"gamble index {i} out of range")
-    return _build_lp(payoffs, m, i, _allocation_layout(m))
-
-
-def _build_lp(payoffs: np.ndarray, m: MassFunction, i: int, layout: np.ndarray) -> LinearProgram:
-    """:func:`build_e_admissibility_lp` on a payoff matrix and ``m``'s allocation layout."""
-    n, s = payoffs.shape
-    states, focal = layout.T
-    n_alloc, n_focal = states.size, len(m)
-    alloc = np.arange(n_alloc)
-    rhs = np.zeros(n_focal + s + n - 1)
-    rhs[:n_focal] = m.masses
-    lhs = np.zeros((rhs.size, n_alloc + s + n - 1))
-    # each focal mass fully allocated among its elements
-    lhs[focal, alloc] = 1.0
-    # probabilities collect their allocations
-    lhs[n_focal + states, alloc] = -1.0
-    lhs[n_focal + np.arange(s), n_alloc + np.arange(s)] = 1.0
-    # gamble i must not be beaten by more than each competitor's slack
-    competitors = lhs[n_focal + s :]
-    with np.errstate(over="ignore"):  # an overflow leaves inf, which LinearProgram rejects
-        competitors[:, n_alloc : n_alloc + s] = payoffs[i] - np.delete(payoffs, i, axis=0)
-    competitors[:, n_alloc + s :] = np.eye(n - 1)
-    objective = np.zeros(lhs.shape[1])
-    objective[n_alloc + s :] = 1.0
-    return LinearProgram(objective, lhs, ("=",) * (n_focal + s) + (">=",) * (n - 1), rhs)
-
-
 def e_admissible(
     gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction, i: int, *,
     tol: float = E_ADMISSIBILITY_TOL
@@ -290,7 +251,8 @@ def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
     ``lower_prevision`` above ``tol`` plus rounding bounds every
     compatible probability's slack total: ``i`` is rejected. Else the
     vertex joins, or if it is no new one the next competitor; with all
-    in, a total within rounding of ``tol`` is a tie, and accepted.
+    in, a total within rounding plus ``MASTER_TOL`` of ``tol`` is a tie
+    that the master cannot break, and accepted.
     """
     p = _any_compatible_probability(m)
     at_p = payoffs @ p
@@ -321,8 +283,8 @@ def _decide(payoffs: np.ndarray, m: MassFunction, i: int,
                 continue
         # no vertex lowers the master's optimum below the bound, at most tol up
         # to rounding: the next competitor joins, or a tie that only rounding
-        # breaks is accepted
-        if full and total <= tol + rounding:
+        # or the simplex's threshold breaks is accepted
+        if full and total <= tol + rounding + MASTER_TOL:
             return True, tuple(witness.tolist())
         if full:
             raise SolverError("the master's duals neither price a new vertex nor certify")
@@ -340,7 +302,35 @@ def _vertex(top: Sequence[int], m: MassFunction) -> np.ndarray:
     return np.bincount(top, m.masses, m.frame.size)
 
 
-def _master_program(h: np.ndarray, vertices: np.ndarray) -> LinearProgram:
+class _Master(NamedTuple):
+    """min objective.x subject to lhs x <= rhs, rhs >= 0, x >= 0."""
+
+    objective: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.rhs.size
+
+    @property
+    def n_vars(self) -> int:
+        return self.objective.size
+
+
+class _Solution(NamedTuple):
+    """x at the optimum, each row's dual (the rate at which the optimum moves
+    with its rhs) and the pivots taken. ``status`` is always ``optimal``:
+    the benchmark's tracer (``bench/tracing.py``) reads it, with
+    ``iterations`` and the master's ``n_rows`` and ``n_vars``."""
+
+    x: np.ndarray
+    duals: np.ndarray
+    iterations: int
+    status: str = "optimal"
+
+
+def _master_program(h: np.ndarray, vertices: np.ndarray) -> _Master:
     """The slack-total program over the mixtures of ``vertices`` (one per row).
 
     Variables: a weight mu_v on each vertex after v0, which takes the
@@ -359,7 +349,79 @@ def _master_program(h: np.ndarray, vertices: np.ndarray) -> LinearProgram:
     lhs[1:, :n_mu] = np.where(ahead[:, None], -moved, moved)
     lhs[1:, n_mu:] = -np.eye(k)
     objective = np.concatenate([moved[ahead].sum(axis=0), np.ones(k)])
-    return LinearProgram(objective, lhs, ("<=",) * (k + 1), np.concatenate([[1.0], np.abs(lead)]))
+    return _Master(objective, lhs, np.concatenate([[1.0], np.abs(lead)]))
+
+
+def simplex_solve(master: _Master, *, max_iterations: int | None = None) -> _Solution:
+    """Solve ``master`` by Bland's rule (Bland 1977) from its all-slack basis.
+
+    Returns x, the row duals and the pivots taken, once they prove each
+    other optimal on the master's own data (:func:`_certified`). Pivots on
+    entries near ``MASTER_TOL`` can cost the float tableau its digits; the
+    master is then solved again in exact rational arithmetic, where
+    Bland's rule needs no threshold. Raises :class:`SolverError` past the
+    iteration cap, on an entering column with no leaving row, or when even
+    the exact answer is not certified; solver trouble is never a verdict.
+    """
+    rows, cols = master.lhs.shape
+    cap = 10 * (2 * rows + cols) ** 2 if max_iterations is None else max_iterations
+    iterations = 0
+    for exact, tol in ((False, MASTER_TOL), (True, 0)):
+        tableau = np.zeros((rows + 1, cols + rows + 1))
+        tableau[:rows, :cols] = master.lhs
+        tableau[:rows, cols:-1] = np.eye(rows)
+        tableau[:rows, -1] = master.rhs
+        tableau[-1, :cols] = master.objective
+        if exact:
+            tableau = np.vectorize(Fraction, otypes=[object])(tableau)
+        basis = list(range(cols, cols + rows))
+        iterations += _pivots(tableau, basis, cap, tol)
+        x = np.zeros(cols + rows, dtype=tableau.dtype)
+        x[basis] = tableau[:rows, -1]
+        # the cost row holds c - y.A, so -y under the slack columns
+        x, y = x[:cols].astype(float), (-tableau[-1, cols:-1]).astype(float)
+        if _certified(master, x, y):
+            return _Solution(x, y, iterations)
+    raise SolverError("a master program's solution fails its optimality certificate")
+
+
+def _pivots(tableau: np.ndarray, basis: list[int], cap: int, tol: float) -> int:
+    """Pivot ``tableau`` in place to an optimum, entering the first column
+    whose reduced cost is below -``tol``; returns the pivots taken."""
+    rows = len(basis)
+    work = np.empty_like(tableau)
+    iterations = 0
+    while (entering := np.flatnonzero(tableau[-1, :-1] < -tol)).size:
+        col = entering[0]
+        # the least ratio; ties go to the smaller basic index
+        candidates = np.flatnonzero(tableau[:rows, col] > tol)
+        if not candidates.size:
+            raise SolverError("a master program reads unbounded, though it is bounded")
+        ratios = tableau[candidates, -1] / tableau[candidates, col]
+        ties = candidates[ratios == ratios.min()]
+        row = int(ties[np.argmin(np.take(basis, ties))])
+        # pivot; rows with a zero factor keep their entries, -0.0 included
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0
+        np.multiply.outer(factors, tableau[row], out=work)
+        np.subtract(tableau, work, out=tableau, where=(factors != 0)[:, None])
+        basis[row] = col
+        iterations += 1
+        if iterations > cap:
+            raise SolverError(f"the simplex exceeded its iteration cap of {cap}")
+    return iterations
+
+
+def _certified(master: _Master, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x and the row duals y prove each other optimal on ``master``,
+    each test within ``MASTER_TOL``: x is feasible, y <= 0 prices no column
+    below 0, and the two objectives c.x and b.y are equal."""
+    return bool((x >= -MASTER_TOL).all()
+                and (master.lhs @ x - master.rhs <= MASTER_TOL).all()
+                and (y <= MASTER_TOL).all()
+                and (master.objective - y @ master.lhs >= -MASTER_TOL).all()
+                and abs(master.objective @ x - master.rhs @ y) <= MASTER_TOL)
 
 
 def _master_solution(h: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,15 +435,9 @@ def _master_solution(h: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, n
     if len(vertices) == 1:
         return vertices[0], ahead.astype(float)
     result = simplex_solve(_master_program(h, vertices))
-    if result.status != "optimal":
-        raise SolverError(
-            f"e-admissibility program ended with status {result.status!r}; "
-            "this program is feasible and bounded by construction"
-        )
     mu = np.maximum(result.x[: len(vertices) - 1], 0.0)
     weights = np.concatenate([[max(0.0, 1.0 - math.fsum(mu))], mu])
-    duals = np.array(result.duals[1:])
-    y = np.where(ahead, 1.0 + duals, -duals)
+    y = np.where(ahead, 1.0 + result.duals[1:], -result.duals[1:])
     return weights @ vertices, np.clip(y, 0.0, 1.0)
 
 
@@ -430,28 +486,11 @@ def e_admissible_set(
     return sorted(witnesses), dict(sorted(witnesses.items()))
 
 
-def e_admissibility_lp_text(gambles: PayoffMatrix | Sequence[Gamble], m: MassFunction,
-                            i: int) -> str:
-    """Debug dump of the program for gamble ``i`` of a payoff matrix or a
-    list of gambles, as plain-text equations."""
-    lp = build_e_admissibility_lp(gambles, m, i)
-    layout = _allocation_layout(m).tolist()
-    names = [f"a[{m.frame.labels[k]},F{j + 1}]" for k, j in layout]
-    names += [f"p[{label}]" for label in m.frame.labels]
-    names += [f"slack{l + 1}" for l in range(len(gambles)) if l != i]
-    return lp_text(lp, names)
-
-
 __all__ = [
     "Gamble",
     "lower_prevision",
     "upper_prevision",
     "maximality_relation",
-    "build_e_admissibility_lp",
     "e_admissible",
     "e_admissible_set",
-    "e_admissibility_lp_text",
-    "LinearProgram",
-    "SimplexResult",
-    "simplex_solve",
 ]

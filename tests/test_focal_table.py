@@ -6,8 +6,7 @@ merges them. Every criterion's score must equal, bit for bit and in the
 sign of a zero, the per-lottery references: the public criteria on the
 act's own lottery and the plain loops of ``test_criteria``. The CLI
 prints what the per-lottery path prints. Also the overflow reproductions
-of ``goals``, ``choice --rule maximality`` and the regret criteria, and
-the e-admissibility allocation layout built once per decision.
+of ``goals``, ``choice --rule maximality`` and the regret criteria.
 """
 
 import contextlib
@@ -27,7 +26,6 @@ from beliefdecision import (
     GoalSystem,
     LocalPessimismIndex,
     PayoffMatrix,
-    e_admissible,
     generalized_owa_expected_utility,
     jaffray_utility,
     lower_expectation,
@@ -35,7 +33,6 @@ from beliefdecision import (
     pignistic_expected_utility,
     upper_expectation,
 )
-from beliefdecision import previsions
 from beliefdecision.cli import main
 from beliefdecision.core import Act
 from beliefdecision.errors import InvalidMassError
@@ -45,7 +42,6 @@ from beliefdecision.relations import (
     interval_dominance_choice,
     maximal_elements,
 )
-from conftest import random_mass
 from test_criteria import (
     ALPHA,
     UTILITY,
@@ -327,28 +323,3 @@ class TestOverflowReproductions:
                                            tmp_path)
             assert (code, out) == (2, "")
             assert "regrets overflow the float range" in err
-
-
-class TestAllocationLayout:
-    def test_built_once_per_decision(self, monkeypatch):
-        rng = random.Random(5)
-        frame = Frame([f"s{k}" for k in range(5)])
-        original = previsions._allocation_layout
-        for _ in range(20):
-            m = random_mass(rng, frame, max_focal=6)
-            gambles = [previsions.Gamble(frame, [rng.randint(0, 100) for _ in range(5)])
-                       for _ in range(8)]
-            calls = []
-            monkeypatch.setattr(previsions, "_allocation_layout",
-                                lambda mass: calls.append(1) or original(mass))
-            for i in range(len(gambles)):
-                calls.clear()
-                e_admissible(gambles, m, i)
-                assert len(calls) <= 1
-            monkeypatch.setattr(previsions, "_allocation_layout", original)
-            for i in range(len(gambles)):
-                lp = previsions.build_e_admissibility_lp(gambles, m, i)
-                payoffs = previsions.np.array([g.payoffs for g in gambles])
-                same = previsions._build_lp(payoffs, m, i, original(m))
-                assert all((getattr(lp, f) == getattr(same, f)).all()
-                           for f in ("objective", "lhs", "rhs"))

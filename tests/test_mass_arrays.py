@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from beliefdecision import Frame, MassFunction, pignistic, plausibility, plausibility_transform
 from beliefdecision.core import iter_elements
 from beliefdecision.previsions import (
-    _allocation_layout,
     _any_compatible_probability,
     _vertex,
     _vertex_states,
@@ -43,12 +42,6 @@ def reference_plausibility_transform(m: MassFunction) -> tuple[float, ...]:
     pl = [plausibility(m, 1 << i) for i in range(m.frame.size)]
     total = math.fsum(pl)
     return tuple(v / total for v in pl)
-
-
-def reference_allocation_layout(m: MassFunction) -> np.ndarray:
-    """(state index, focal position) rows, one per allocation variable."""
-    pairs = [(k, j) for j, (a, _) in enumerate(m.items()) for k in iter_elements(a)]
-    return np.array(pairs, dtype=np.intp)
 
 
 def reference_vertex_states(gain: np.ndarray, m: MassFunction) -> list[int]:
@@ -145,9 +138,7 @@ class TestKernelsAgainstTheLoops:
 
     @given(masses())
     @settings(max_examples=300, deadline=None)
-    def test_allocation_layout_and_compatible_probability(self, m):
-        layout, expected = _allocation_layout(m), reference_allocation_layout(m)
-        assert layout.dtype == expected.dtype and layout.tolist() == expected.tolist()
+    def test_compatible_probability(self, m):
         assert bits(_any_compatible_probability(m)) == bits(
             reference_any_compatible_probability(m))
 

@@ -22,15 +22,12 @@ from beliefdecision import (
     score_ignorance,
 )
 from beliefdecision.previsions import (
-    build_e_admissibility_lp,
-    e_admissibility_lp_text,
     e_admissible,
     e_admissible_set,
     maximality_relation,
 )
 from beliefdecision.problems import parse_problem_dict
 from beliefdecision.relations import Relation
-from beliefdecision.simplex import LinearProgram
 
 UTILITIES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.7e308, -1.7e308, 0.1, 2.5]),
@@ -68,9 +65,6 @@ def hexed(value):
         return sorted((k, hexed(v)) for k, v in value.items())
     if isinstance(value, Relation):
         return value.table
-    if isinstance(value, LinearProgram):
-        return [hexed(value.objective), hexed(value.lhs), value.senses, hexed(value.rhs),
-                hexed(value.lower_bounds), value.maximize]
     return value
 
 
@@ -84,8 +78,7 @@ def outcome(rule, *args):
 def credal_results(acts, m):
     results = [outcome(maximality_relation, acts, m), outcome(e_admissible_set, acts, m)]
     for i in range(len(acts)):
-        for rule in (e_admissible, build_e_admissibility_lp, e_admissibility_lp_text):
-            results.append(outcome(rule, acts, m, i))
+        results.append(outcome(e_admissible, acts, m, i))
     return results
 
 

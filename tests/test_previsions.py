@@ -1,4 +1,4 @@
-"""Lower previsions, maximality, e-admissibility and the simplex solver."""
+"""Lower previsions, maximality and e-admissibility."""
 
 import functools
 import math
@@ -13,7 +13,6 @@ from beliefdecision import (
     Frame,
     FrameMismatchError,
     Gamble,
-    LinearProgram,
     MassFunction,
     belief,
     credal_vertices,
@@ -23,15 +22,9 @@ from beliefdecision import (
     maximality_relation,
     interval_dominance_choice,
     plausibility,
-    simplex_solve,
     upper_prevision,
 )
 from beliefdecision.core import iter_elements
-from beliefdecision.previsions import (
-    build_e_admissibility_lp,
-    e_admissibility_lp_text,
-)
-from beliefdecision.simplex import lp_text
 from conftest import UTILITY_ROWS, _unit_range, random_bayesian, random_frame, random_mass
 
 
@@ -253,134 +246,6 @@ class TestGambleAsUtilityTable:
         assert len({Gamble(states, (1, 2, 3)), Gamble(states, (1.0, 2.0, 3.0))}) == 1
 
 
-class TestSimplex:
-    def test_simple_maximization(self):
-        lp = LinearProgram([1.0], [[1.0]], ["<="], [3.0], maximize=True)
-        result = simplex_solve(lp)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(3.0)
-        assert result.x == pytest.approx((3.0,))
-
-    def test_infeasible(self):
-        lp = LinearProgram([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
-        assert simplex_solve(lp).status == "infeasible"
-
-    def test_unbounded(self):
-        lp = LinearProgram([-1.0], [], [], [])
-        assert simplex_solve(lp).status == "unbounded"
-
-    def test_two_variable_lp(self):
-        # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 (classic optimum 36)
-        lp = LinearProgram(
-            [3.0, 5.0],
-            [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-            ["<=", "<=", "<="],
-            [4.0, 12.0, 18.0],
-            maximize=True,
-        )
-        result = simplex_solve(lp)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(36.0)
-        assert result.x == pytest.approx((2.0, 6.0))
-
-    def test_equality_constraints(self):
-        # min x + y st x + y = 2, x - y = 0
-        lp = LinearProgram(
-            [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [2.0, 0.0]
-        )
-        result = simplex_solve(lp)
-        assert result.status == "optimal"
-        assert result.x == pytest.approx((1.0, 1.0))
-
-    def test_lower_bounds(self):
-        # min x + y with x >= 2, y >= 3 and x + y <= 10
-        lp = LinearProgram(
-            [1.0, 1.0], [[1.0, 1.0]], ["<="], [10.0], lower_bounds=[2.0, 3.0]
-        )
-        result = simplex_solve(lp)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(5.0)
-        assert result.x == pytest.approx((2.0, 3.0))
-
-    def test_degenerate_cycling_candidate_terminates(self):
-        # a classic cycling-prone instance for naive pivoting
-        lp = LinearProgram(
-            [-0.75, 150.0, -0.02, 6.0],
-            [
-                [0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ],
-            ["<=", "<=", "<="],
-            [0.0, 0.0, 1.0],
-        )
-        result = simplex_solve(lp)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(-0.05)
-
-    def test_deterministic(self):
-        lp = LinearProgram(
-            [1.0, 2.0, -1.0],
-            [[1.0, 1.0, 1.0], [2.0, -1.0, 0.0]],
-            ["<=", ">="],
-            [4.0, 1.0],
-        )
-        first = simplex_solve(lp)
-        second = simplex_solve(lp)
-        assert first == second
-
-    def test_scipy_cross_check_on_random_programs(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = random.Random(66)
-        checked = 0
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            m_rows = rng.randint(1, 4)
-            c = [rng.uniform(-5, 5) for _ in range(n)]
-            rows = [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(m_rows)]
-            senses = [rng.choice(["<=", ">=", "="]) for _ in range(m_rows)]
-            rhs = [rng.uniform(-5, 5) for _ in range(m_rows)]
-            lp = LinearProgram(c, rows, senses, rhs)
-            mine = simplex_solve(lp)
-
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            for row, sense, b in zip(rows, senses, rhs):
-                if sense == "<=":
-                    a_ub.append(row)
-                    b_ub.append(b)
-                elif sense == ">=":
-                    a_ub.append([-v for v in row])
-                    b_ub.append(-b)
-                else:
-                    a_eq.append(row)
-                    b_eq.append(b)
-            ref = linprog(
-                c,
-                A_ub=a_ub or None,
-                b_ub=b_ub or None,
-                A_eq=a_eq or None,
-                b_eq=b_eq or None,
-                bounds=[(0, None)] * n,
-                method="highs",
-            )
-            if mine.status == "optimal":
-                assert ref.status == 0
-                assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
-                checked += 1
-            elif mine.status == "infeasible":
-                assert ref.status == 2
-            else:
-                assert ref.status == 3
-        assert checked >= 10
-
-    def test_lp_text_dump(self):
-        lp = LinearProgram([1.0, -2.0], [[1.0, 1.0]], ["<="], [4.0])
-        text = lp_text(lp)
-        assert "minimize" in text
-        assert "x1" in text and "x2" in text
-        assert "<= 4" in text
-
-
 class TestEAdmissibility:
     def test_reference_verdicts(self, scenario_mass, gambles):
         ok1, witness1 = e_admissible(gambles, scenario_mass, 0)
@@ -457,27 +322,16 @@ class TestEAdmissibility:
             ]
             assert screened == direct
 
-    def test_lp_structure_and_dump(self, scenario_mass, gambles):
-        lp = build_e_admissibility_lp(gambles, scenario_mass, 0)
-        # 4 focal sets + 3 probability definitions + 3 competitor rows
-        assert lp.n_rows == 10
-        result = simplex_solve(lp)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(0.0, abs=1e-8)
-        dump = e_admissibility_lp_text(gambles, scenario_mass, 0)
-        assert "minimize" in dump and "p[w1]" in dump
-
     def test_index_out_of_range(self, scenario_mass, gambles):
         with pytest.raises(IndexError):
             e_admissible(gambles, scenario_mass, 9)
 
     @pytest.mark.parametrize("i", [-2, len(UTILITY_ROWS)])
     def test_the_programs_take_no_index_out_of_range(self, scenario_mass, gambles, payoff, i):
-        # -2 would dump the program of gamble n - 2 under another gamble's slack labels
+        # -2 would decide gamble n - 2
         for acts in (gambles, payoff):
-            for rule in (e_admissible, build_e_admissibility_lp, e_admissibility_lp_text):
-                with pytest.raises(IndexError, match=f"gamble index {i} out of range"):
-                    rule(acts, scenario_mass, i)
+            with pytest.raises(IndexError, match=f"gamble index {i} out of range"):
+                e_admissible(acts, scenario_mass, i)
 
 
 @st.composite
@@ -563,13 +417,43 @@ def _assert_witness_valid(witness, m, gambles, i, tol=1e-8):
         assert e_i >= g.expectation(witness) - tol
 
 
-def full_program_verdict(unit, m, i, tol=1e-8):
-    """The verdict of gamble i's program over every competitor."""
+def full_program(unit, m, i):
+    """Gamble i's allocation program over every competitor, as ``linprog``'s
+    (c, A_ub, b_ub, A_eq, b_eq), built from ``m``'s arrays.
+
+    Variables: a share per (focal set, state) incidence, a probability per
+    state, a slack per competitor. Each focal mass is fully allocated
+    among its states, the probabilities collect the shares, and each
+    competitor's expectation may exceed gamble i's by at most its slack.
+    The least slack total is zero exactly when some compatible
+    probability makes gamble i a best response.
+    """
+    payoffs = np.array([g.values for g in unit])
+    n, s = payoffs.shape
+    focal, states = np.nonzero(m.incidence)
+    shares = np.arange(focal.size)
+    a_eq = np.zeros((len(m) + s, focal.size + s + n - 1))
+    a_eq[focal, shares] = 1.0
+    a_eq[len(m) + states, shares] = -1.0
+    a_eq[len(m) + np.arange(s), focal.size + np.arange(s)] = 1.0
+    b_eq = np.concatenate([m.masses, np.zeros(s)])
+    a_ub = np.zeros((n - 1, a_eq.shape[1]))
+    a_ub[:, focal.size : focal.size + s] = np.delete(payoffs, i, axis=0) - payoffs[i]
+    a_ub[:, focal.size + s :] = -np.eye(n - 1)
+    c = np.zeros(a_eq.shape[1])
+    c[focal.size + s :] = 1.0
+    return c, a_ub, np.zeros(n - 1), a_eq, b_eq
+
+
+def highs_verdict(unit, m, i, tol=1e-8):
+    """Whether HiGHS finds gamble i's :func:`full_program` optimum at most ``tol``."""
     if len(unit) == 1:
         return True
-    result = simplex_solve(build_e_admissibility_lp(unit, m, i))
-    assert result.status == "optimal"
-    return result.objective <= tol
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    c, a_ub, b_ub, a_eq, b_eq = full_program(unit, m, i)
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    assert result.status == 0
+    return result.fun <= tol
 
 
 def maximal_up_to_rounding(gambles, m):
@@ -585,7 +469,7 @@ def reference_e_admissible_set(gambles, m, tol=1e-8):
     """One full program per maximality survivor, as before row generation."""
     candidates = maximal_up_to_rounding(gambles, m)
     unit = _unit_range(gambles)
-    return [i for i in candidates if full_program_verdict(unit, m, i, tol)]
+    return [i for i in candidates if highs_verdict(unit, m, i, tol)]
 
 
 def full_objective(gambles, witness, i):
@@ -632,7 +516,7 @@ class TestRowGeneration:
         scaled = _unit_range(gambles)
         for i in range(len(gambles)):
             verdict, witness = e_admissible(gambles, m, i)
-            assert verdict == full_program_verdict(scaled, m, i)
+            assert verdict == highs_verdict(scaled, m, i)
             if verdict:
                 _assert_witness_valid(witness, m, integral, i)
                 assert full_objective(gambles, witness, i) <= 1e-8
@@ -659,18 +543,6 @@ def hundred_act_problem(seed):
     return m, gambles
 
 
-def highs_verdict(unit, m, i):
-    """Gamble i's full program solved by HiGHS, objective at most 1e-8."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    lp = build_e_admissibility_lp(unit, m, i)
-    eq = [sense == "=" for sense in lp.senses]
-    ineq = [not e for e in eq]
-    result = linprog(lp.objective, A_ub=-lp.lhs[ineq], b_ub=-lp.rhs[ineq],
-                     A_eq=lp.lhs[eq], b_eq=lp.rhs[eq], method="highs")
-    assert result.status == 0
-    return result.fun <= 1e-8
-
-
 @functools.lru_cache(maxsize=None)
 def highs_choice_set(seed):
     m, gambles = hundred_act_problem(seed)
@@ -681,8 +553,8 @@ def highs_choice_set(seed):
 
 class TestHundredActs:
     # 100 acts x 8 states x 13 focal sets; the full programs of the four
-    # candidates below broke a constraint in the simplex and raised
-    # SolverError, as did e_admissible_set on both problems
+    # candidates below once broke a constraint in a general simplex and
+    # raised SolverError, as did e_admissible_set on both problems
     @pytest.mark.parametrize("seed", [1, 2])
     def test_choice_set_is_highs(self, seed):
         m, gambles = hundred_act_problem(seed)
